@@ -18,16 +18,14 @@ use crate::parser::FileModel;
 use std::collections::{HashMap, HashSet};
 
 /// Functions whose return value IS raw payload or extracted data-type
-/// values, regardless of where they are defined. Matched by last path
-/// segment at call sites.
-pub const SOURCE_FNS: [&str; 8] = [
-    "har_to_exchanges",
+/// values, regardless of where they are defined: the HAR and capture
+/// decoders (each with its cancellable `_ctl` form, which the loaders call)
+/// and the request extractor. Matched by last path segment at call sites.
+pub const SOURCE_FNS: [&str; 5] = [
     "har_to_exchanges_salvage",
-    "har_json_to_exchanges",
-    "decode_pcap",
-    "decode_pcap_salvage",
-    "decode_auto",
+    "har_to_exchanges_salvage_ctl",
     "decode_auto_salvage",
+    "decode_auto_salvage_ctl",
     "extract_request",
 ];
 
@@ -170,16 +168,32 @@ mod tests {
     #[test]
     fn seed_sources_are_carriers() {
         let m = CrateModel::build(Vec::new());
-        assert!(m.is_carrier("har_to_exchanges"));
-        assert!(m.is_carrier("decode_pcap"));
+        assert!(m.is_carrier("har_to_exchanges_salvage"));
+        assert!(m.is_carrier("decode_auto_salvage"));
+        assert!(m.is_carrier("decode_auto_salvage_ctl"));
         assert!(!m.is_carrier("format_table"));
+    }
+
+    #[test]
+    fn a_fn_calling_only_a_ctl_decoder_is_a_carrier() {
+        let src = "\
+fn load(bytes: &[u8], keys: &KeyLog, log: &mut SalvageLog, ctl: &Ctl) -> Vec<Exchange> {
+    decode_auto_salvage_ctl(bytes, keys, log, ctl).map(|t| t.exchanges).unwrap_or_default()
+}
+fn load_har(text: &str, log: &mut SalvageLog, ctl: &Ctl) -> Vec<Exchange> {
+    har_to_exchanges_salvage_ctl(text, log, ctl).unwrap_or_default()
+}
+";
+        let fm = model(src);
+        let m = CrateModel::build(vec![("a.rs", &fm)]);
+        assert_eq!(m.derived_carriers(), ["load", "load_har"]);
     }
 
     #[test]
     fn carrier_status_propagates_through_data_returning_fns() {
         let src = "\
 fn load(text: &str) -> Vec<Exchange> {
-    har_to_exchanges(text)
+    har_to_exchanges_salvage(text, &mut SalvageLog::new()).unwrap_or_default()
 }
 fn relay(text: &str) -> Vec<Exchange> {
     load(text)
@@ -201,7 +215,7 @@ fn count(text: &str) -> usize {
     fn non_data_fn_breaks_the_chain() {
         let src = "\
 fn measure(text: &str) -> usize {
-    har_to_exchanges(text).len()
+    har_to_exchanges_salvage(text, &mut SalvageLog::new()).map_or(0, |e| e.len())
 }
 fn report(text: &str) -> String {
     format_n(measure(text))

@@ -319,7 +319,7 @@ fn leak(ex: &Exchange) {
     fn carrier_call_to_obs_event_flagged() {
         let src = "\
 fn leak(text: &str) {
-    let exchanges = har_to_exchanges(text);
+    let exchanges = har_to_exchanges_salvage(text, &mut log);
     diffaudit_obs::debug(\"loaded\", &[diffaudit_obs::field(\"first\", exchanges)]);
 }
 ";
@@ -334,7 +334,7 @@ fn leak(text: &str) {
 fn fine(ex: &Exchange, text: &str) {
     let n = ex.request.body.len();
     eprintln!(\"bytes: {n}\");
-    let exchanges = har_to_exchanges(text);
+    let exchanges = har_to_exchanges_salvage(text, &mut log);
     diffaudit_obs::debug(\"loaded\", &[diffaudit_obs::field(\"count\", exchanges.len())]);
     let summary = redact_body(&ex.request.body);
     println!(\"{summary}\");

@@ -31,7 +31,7 @@ fn every_pass_fires_on_its_fixture_file() {
         ("unsafe-audit", "json/src/unsafe_use.rs", 2),
         ("no-bare-eprintln", "core/src/printing.rs", 2),
         ("global-state", "core/src/globals.rs", 4),
-        ("redaction", "core/src/leaks.rs", 3),
+        ("redaction", "core/src/leaks.rs", 4),
         ("par-discipline", "util/src/workers.rs", 3),
         ("par-discipline", "serve/src/daemon.rs", 2),
         ("metric-discipline", "serve/src/telemetry.rs", 3),
@@ -75,6 +75,21 @@ fn redaction_fixture_exercises_the_derived_carrier_path() {
             .iter()
             .any(|f| f.lint.name() == "redaction" && f.message.contains("batch")),
         "derived-carrier taint (via `reload`) must fire:\n{}",
+        report::render_text(&findings)
+    );
+}
+
+#[test]
+fn redaction_fixture_treats_ctl_decoders_as_sources() {
+    // `trace_deadline_decode` leaks through `decode_before_deadline`, whose
+    // only payload source is `decode_auto_salvage_ctl` — the cancellable
+    // decoder the unit loader calls. It must seed the carrier fixpoint.
+    let findings = corpus_findings();
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.lint.name() == "redaction" && f.message.contains("staged")),
+        "`_ctl` decoder taint (via `decode_before_deadline`) must fire:\n{}",
         report::render_text(&findings)
     );
 }

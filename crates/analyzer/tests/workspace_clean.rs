@@ -189,7 +189,7 @@ fn sentinel_item_pass_violations_in_a_fake_workspace_are_flagged() {
     .unwrap();
     std::fs::write(
         services_src.join("leak.rs"),
-        "fn dump(text: &str) {\n    let exchanges = har_to_exchanges(text);\n    \
+        "fn dump(text: &str) {\n    let exchanges = har_to_exchanges_salvage(text, &mut log);\n    \
          diffaudit_obs::warn(\"payload\", &[diffaudit_obs::field(\"x\", exchanges)]);\n}\n",
     )
     .unwrap();

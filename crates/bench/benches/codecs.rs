@@ -36,8 +36,8 @@ mod with_criterion {
     use criterion::{criterion_group, BatchSize, Criterion, Throughput};
     use diffaudit_json::{flatten, parse};
     use diffaudit_nettrace::{
-        decode_pcap, har_from_exchanges, har_to_exchanges, CaptureOptions, CaptureSession,
-        Exchange, KeyLog, PcapReader,
+        decode_auto_salvage, har_from_exchanges, har_to_exchanges_salvage, CaptureOptions,
+        CaptureSession, Exchange, KeyLog, PcapReader, SalvageLog,
     };
     use std::hint::black_box;
 
@@ -61,7 +61,7 @@ mod with_criterion {
             b.iter(|| har_from_exchanges(black_box(&exchanges)).to_string())
         });
         group.bench_function("parse_50", |b| {
-            b.iter(|| har_to_exchanges(black_box(&har)).unwrap())
+            b.iter(|| har_to_exchanges_salvage(black_box(&har), &mut SalvageLog::new()).unwrap())
         });
         group.finish();
     }
@@ -73,7 +73,7 @@ mod with_criterion {
             session.capture(ex);
         }
         let (pcap, keylog_text) = session.finish();
-        let keylog = KeyLog::parse(&keylog_text);
+        let keylog = KeyLog::parse_salvage(&keylog_text, &mut SalvageLog::new());
         let mut group = c.benchmark_group("capture");
         group.throughput(Throughput::Bytes(pcap.len() as u64));
         group.bench_function("capture_20_exchanges", |b| {
@@ -89,10 +89,13 @@ mod with_criterion {
             )
         });
         group.bench_function("pcap_parse", |b| {
-            b.iter(|| PcapReader::parse(black_box(&pcap)).unwrap())
+            b.iter(|| PcapReader::parse_salvage(black_box(&pcap), &mut SalvageLog::new()).unwrap())
         });
         group.bench_function("decode_pcap_full", |b| {
-            b.iter(|| decode_pcap(black_box(&pcap), black_box(&keylog)).unwrap())
+            b.iter(|| {
+                decode_auto_salvage(black_box(&pcap), black_box(&keylog), &mut SalvageLog::new())
+                    .unwrap()
+            })
         });
         group.finish();
     }
@@ -110,8 +113,8 @@ fn main() {
     use diffaudit_bench::stopwatch::run;
     use diffaudit_json::{flatten, parse};
     use diffaudit_nettrace::{
-        decode_pcap, har_from_exchanges, har_to_exchanges, CaptureOptions, CaptureSession, KeyLog,
-        PcapReader,
+        decode_auto_salvage, har_from_exchanges, har_to_exchanges_salvage, CaptureOptions,
+        CaptureSession, KeyLog, PcapReader, SalvageLog,
     };
     use std::hint::black_box;
 
@@ -132,7 +135,7 @@ fn main() {
         black_box(har_from_exchanges(black_box(&exchanges)).to_string());
     });
     run("har/parse_50", || {
-        black_box(har_to_exchanges(black_box(&har)).unwrap());
+        black_box(har_to_exchanges_salvage(black_box(&har), &mut SalvageLog::new()).unwrap());
     });
 
     let capture_inputs: Vec<Exchange> = (0..20).map(sample_exchange).collect();
@@ -141,7 +144,7 @@ fn main() {
         session.capture(ex);
     }
     let (pcap, keylog_text) = session.finish();
-    let keylog = KeyLog::parse(&keylog_text);
+    let keylog = KeyLog::parse_salvage(&keylog_text, &mut SalvageLog::new());
     run("capture/capture_20_exchanges", || {
         let mut s = CaptureSession::new(CaptureOptions::default());
         for ex in &capture_inputs {
@@ -150,9 +153,10 @@ fn main() {
         black_box(s.finish());
     });
     run("capture/pcap_parse", || {
-        black_box(PcapReader::parse(black_box(&pcap)).unwrap());
+        black_box(PcapReader::parse_salvage(black_box(&pcap), &mut SalvageLog::new()).unwrap());
     });
     run("capture/decode_pcap_full", || {
-        black_box(decode_pcap(black_box(&pcap), black_box(&keylog)).unwrap());
+        let mut log = SalvageLog::new();
+        black_box(decode_auto_salvage(black_box(&pcap), black_box(&keylog), &mut log).unwrap());
     });
 }

@@ -33,11 +33,11 @@ use crate::salvage::{ServiceLedger, UnitLedger};
 use diffaudit_json::{parse, Json};
 use diffaudit_nettrace::capture::DecodeError;
 use diffaudit_nettrace::salvage::{SalvageLog, Stage};
-use diffaudit_nettrace::{decode_auto, decode_auto_salvage_ctl, har_to_exchanges};
-use diffaudit_nettrace::{har_to_exchanges_salvage_ctl, HarError, KeyLog};
+use diffaudit_nettrace::{decode_auto_salvage_ctl, har_to_exchanges_salvage_ctl, HarError, KeyLog};
 use diffaudit_obs::Scope;
-use diffaudit_services::{Platform, TraceCategory, TraceKind};
+use diffaudit_services::{Platform, ServiceCapture, TraceCategory, TraceKind};
 use diffaudit_util::cancel::{Ctl, Interrupt};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
 /// Loader errors. Every variant names the file it is about, so a failed
@@ -102,7 +102,8 @@ fn shape_error(msg: String) -> LoadError {
     LoadError::ManifestShape(PathBuf::new(), msg)
 }
 
-fn parse_platform(s: &str) -> Result<Platform, LoadError> {
+/// Parse a manifest `platform` field (also the daemon's upload parameter).
+pub fn parse_platform(s: &str) -> Result<Platform, LoadError> {
     match s.to_ascii_lowercase().as_str() {
         "web" => Ok(Platform::Web),
         "mobile" => Ok(Platform::Mobile),
@@ -113,7 +114,8 @@ fn parse_platform(s: &str) -> Result<Platform, LoadError> {
     }
 }
 
-fn parse_kind(s: &str) -> Result<TraceKind, LoadError> {
+/// Parse a manifest `kind` field (also the daemon's upload parameter).
+pub fn parse_kind(s: &str) -> Result<TraceKind, LoadError> {
     match s.to_ascii_lowercase().as_str() {
         "account-creation" | "account_creation" => Ok(TraceKind::AccountCreation),
         "logged-in" | "logged_in" => Ok(TraceKind::LoggedIn),
@@ -124,7 +126,8 @@ fn parse_kind(s: &str) -> Result<TraceKind, LoadError> {
     }
 }
 
-fn parse_category(s: &str) -> Result<TraceCategory, LoadError> {
+/// Parse a manifest `category` field (also the daemon's upload parameter).
+pub fn parse_category(s: &str) -> Result<TraceCategory, LoadError> {
     match s.to_ascii_lowercase().as_str() {
         "child" => Ok(TraceCategory::Child),
         "adolescent" => Ok(TraceCategory::Adolescent),
@@ -194,122 +197,153 @@ fn read_manifest(dir: &Path) -> Result<Manifest, LoadError> {
     })
 }
 
-/// Load one manifest unit entry. With `salvage: Some(log)`, artifact decode
-/// uses the per-record salvage readers and accounts damage in `log`; with
-/// `None`, any damage is a hard error (the pre-salvage behaviour). The
-/// salvage decoders check `ctl` between records, so an expired deadline or
-/// a cancelled job surfaces as [`LoadError::Interrupted`] for this unit.
-///
-/// The second tuple element is the number of artifact bytes read from disk
-/// (HAR text, or pcap container plus key log) — the caller accounts it as
-/// `loader.unit.bytes.in` for the resource profiler.
-fn load_unit(
-    dir: &Path,
-    entry: &Json,
-    index: usize,
-    mut salvage: Option<&mut SalvageLog>,
-    ctl: &Ctl,
-) -> Result<(LoadedUnit, u64), LoadError> {
+/// Read one manifest unit entry's files from `dir` into an owned
+/// [`MemoryUnit`] labelled with the artifact's file name.
+fn read_unit(dir: &Path, entry: &Json, index: usize) -> Result<MemoryUnit<'static>, LoadError> {
     let ctx = format!("units[{index}]");
     let file = str_field(entry, "file", &ctx)?;
     let platform = parse_platform(str_field(entry, "platform", &ctx)?)?;
     let kind = parse_kind(str_field(entry, "kind", &ctx)?)?;
     let category = parse_category(str_field(entry, "category", &ctx)?)?;
     let path = dir.join(file);
-    if file.ends_with(".har") {
+    let artifact = if file.ends_with(".har") {
         let text = std::fs::read_to_string(&path).map_err(|e| LoadError::Io(path.clone(), e))?;
-        let exchanges = match salvage {
-            Some(log) => har_to_exchanges_salvage_ctl(&text, log, ctl).map_err(|e| match e {
-                HarError::Interrupted(i) => LoadError::Interrupted(path.clone(), i),
-                other => LoadError::Artifact(path.clone(), other.to_string()),
-            })?,
-            None => har_to_exchanges(&text)
-                .map_err(|e| LoadError::Artifact(path.clone(), e.to_string()))?,
-        };
-        let n = exchanges.len();
-        Ok((
-            LoadedUnit {
-                platform,
-                kind,
-                category,
-                exchanges,
-                opaque_snis: Vec::new(),
-                packet_count: n,
-                flow_count: n,
-            },
-            text.len() as u64,
-        ))
+        MemoryArtifact::Har(Cow::Owned(text))
     } else if file.ends_with(".pcap") || file.ends_with(".pcapng") {
         let bytes = std::fs::read(&path).map_err(|e| LoadError::Io(path.clone(), e))?;
-        let mut in_bytes = bytes.len() as u64;
         let keylog = match entry.get("keylog").and_then(Json::as_str) {
             Some(keylog_file) => {
                 let keylog_path = dir.join(keylog_file);
                 let text = std::fs::read_to_string(&keylog_path)
                     .map_err(|e| LoadError::Io(keylog_path.clone(), e))?;
-                in_bytes += text.len() as u64;
-                match salvage.as_deref_mut() {
-                    Some(log) => KeyLog::parse_salvage(&text, log),
-                    None => KeyLog::parse(&text),
-                }
+                Some(Cow::Owned(text))
             }
-            None => KeyLog::new(),
+            None => None,
         };
-        let decoded = match salvage {
-            Some(log) => {
-                decode_auto_salvage_ctl(&bytes, &keylog, log, ctl).map_err(|e| match e {
-                    DecodeError::Interrupted(i) => LoadError::Interrupted(path.clone(), i),
-                    other => LoadError::Artifact(path.clone(), other.to_string()),
-                })?
-            }
-            None => decode_auto(&bytes, &keylog)
-                .map_err(|e| LoadError::Artifact(path.clone(), e.to_string()))?,
-        };
-        Ok((
-            LoadedUnit {
-                platform,
-                kind,
-                category,
-                exchanges: decoded.exchanges,
-                opaque_snis: decoded.opaque.into_iter().filter_map(|o| o.sni).collect(),
-                packet_count: decoded.packet_count,
-                flow_count: decoded.flow_count,
-            },
-            in_bytes,
-        ))
+        MemoryArtifact::Capture {
+            bytes: Cow::Owned(bytes),
+            keylog,
+        }
     } else {
-        Err(shape_error(format!(
+        return Err(shape_error(format!(
             "{ctx}: file {file:?} must end in .har, .pcap, or .pcapng"
-        )))
-    }
+        )));
+    };
+    Ok(MemoryUnit {
+        label: file.to_string(),
+        platform,
+        kind,
+        category,
+        artifact,
+    })
 }
 
-/// Salvage-load one manifest unit entry on a worker thread: times the load
-/// as a `loader.unit` span, tallies loaded/dropped counters and the
-/// exchange-count histogram into the worker's private recorder, and folds
-/// any error into the unit's salvage log. Returns the unit's display label,
-/// the load result (the error already rendered to its display string), and
-/// the per-unit ledger entry.
-fn load_unit_salvage(
-    dir: &Path,
-    entry: &Json,
+/// Where one unit comes from.
+enum UnitSource<'a> {
+    /// A manifest entry whose files are read from `dir` inside the unit's
+    /// span; `manifest` names the manifest in shape errors.
+    Disk {
+        dir: &'a Path,
+        manifest: &'a Path,
+        entry: &'a Json,
+    },
+    /// A unit already in memory (a daemon upload or a generated dataset).
+    Memory(&'a MemoryUnit<'a>),
+}
+
+/// The unit loader shared by disk, memory and generated input, run on a
+/// worker thread. Times the load as a `loader.unit` span, reads a disk
+/// unit's files, decodes the artifact with the salvage decoders (HAR, or
+/// pcap/pcapng plus key log), tallies loaded/dropped counters, the
+/// `loader.unit.bytes.in` artifact size and the exchange-count histogram
+/// into the worker's private recorder, and folds any error into the unit's
+/// salvage log.
+///
+/// The decoders check `ctl` between records, so an expired deadline or a
+/// cancelled job drops the unit with a `timeout:`/`cancelled:` reason; a
+/// unit whose control is already tripped drops without touching the
+/// filesystem. Returns the unit's display label, the load result (the
+/// error already rendered to its display string), and the unit's salvage
+/// log.
+fn load_unit(
+    source: UnitSource<'_>,
     index: usize,
-    manifest_path: &Path,
     recorder: &mut diffaudit_obs::LocalRecorder,
     ctl: &Ctl,
 ) -> (String, Result<LoadedUnit, String>, SalvageLog) {
-    let label = entry
-        .get("file")
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("units[{index}]"));
+    // `path` names the artifact in drop reasons: the file on disk, or the
+    // upload's label.
+    let (label, path) = match &source {
+        UnitSource::Disk { dir, entry, .. } => {
+            let label = entry
+                .get("file")
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .unwrap_or_else(|| format!("units[{index}]"));
+            let path = dir.join(&label);
+            (label, path)
+        }
+        UnitSource::Memory(unit) => (unit.label.clone(), PathBuf::from(&unit.label)),
+    };
     let mut log = SalvageLog::new();
-    // A unit whose control is already tripped drops without touching the
-    // filesystem; units that start decoding are interrupted between records
-    // by the salvage readers.
-    let outcome = recorder.time("loader.unit", || match ctl.check() {
-        Err(i) => Err(LoadError::Interrupted(dir.join(&label), i)),
-        Ok(()) => load_unit(dir, entry, index, Some(&mut log), ctl),
+    let outcome: Result<(LoadedUnit, u64), LoadError> = recorder.time("loader.unit", || {
+        ctl.check()
+            .map_err(|i| LoadError::Interrupted(path.clone(), i))?;
+        let read;
+        let unit = match source {
+            UnitSource::Disk {
+                dir,
+                manifest,
+                entry,
+            } => {
+                read = read_unit(dir, entry, index).map_err(|e| e.with_manifest_path(manifest))?;
+                &read
+            }
+            UnitSource::Memory(unit) => unit,
+        };
+        match &unit.artifact {
+            MemoryArtifact::Har(text) => {
+                let exchanges =
+                    har_to_exchanges_salvage_ctl(text, &mut log, ctl).map_err(|e| match e {
+                        HarError::Interrupted(i) => LoadError::Interrupted(path.clone(), i),
+                        other => LoadError::Artifact(path.clone(), other.to_string()),
+                    })?;
+                // A HAR entry stands for one packet and one flow.
+                let n = exchanges.len();
+                let loaded = LoadedUnit {
+                    platform: unit.platform,
+                    kind: unit.kind,
+                    category: unit.category,
+                    exchanges,
+                    opaque_snis: Vec::new(),
+                    packet_count: n,
+                    flow_count: n,
+                };
+                Ok((loaded, text.len() as u64))
+            }
+            MemoryArtifact::Capture { bytes, keylog } => {
+                let keys = match keylog {
+                    Some(text) => KeyLog::parse_salvage(text, &mut log),
+                    None => KeyLog::new(),
+                };
+                let decoded =
+                    decode_auto_salvage_ctl(bytes, &keys, &mut log, ctl).map_err(|e| match e {
+                        DecodeError::Interrupted(i) => LoadError::Interrupted(path.clone(), i),
+                        other => LoadError::Artifact(path.clone(), other.to_string()),
+                    })?;
+                let loaded = LoadedUnit {
+                    platform: unit.platform,
+                    kind: unit.kind,
+                    category: unit.category,
+                    exchanges: decoded.exchanges,
+                    opaque_snis: decoded.opaque.into_iter().filter_map(|o| o.sni).collect(),
+                    packet_count: decoded.packet_count,
+                    flow_count: decoded.flow_count,
+                };
+                let in_bytes = bytes.len() as u64 + keylog.as_ref().map_or(0, |k| k.len() as u64);
+                Ok((loaded, in_bytes))
+            }
+        }
     });
     let result = match outcome {
         Ok((unit, in_bytes)) => {
@@ -324,7 +358,7 @@ fn load_unit_salvage(
             Ok(unit)
         }
         Err(e) => {
-            let reason = e.with_manifest_path(manifest_path).to_string();
+            let reason = e.to_string();
             recorder.add("loader.units.dropped", 1);
             log.dropped(Stage::Unit, reason.clone(), Some(index as u64));
             Err(reason)
@@ -334,86 +368,49 @@ fn load_unit_salvage(
 }
 
 /// Load a capture directory (containing `manifest.json`) into a
-/// [`ServiceInput`] ready for [`crate::pipeline::Pipeline::run_inputs`].
-/// Any damage anywhere in the directory is a hard error; see
-/// [`load_capture_dir_salvage`] for the skip-and-record variant.
-pub fn load_capture_dir(dir: &Path) -> Result<ServiceInput, LoadError> {
-    let manifest = read_manifest(dir)?;
-    let ctl = Ctl::unbounded();
-    let mut units = Vec::with_capacity(manifest.unit_entries.len());
-    for (i, entry) in manifest.unit_entries.iter().enumerate() {
-        let (unit, in_bytes) = load_unit(dir, entry, i, None, &ctl)
-            .map_err(|e| e.with_manifest_path(&manifest.path))?;
-        diffaudit_obs::add("loader.unit.bytes.in", in_bytes);
-        units.push(unit);
-    }
-    Ok(ServiceInput {
-        name: manifest.name,
-        slug: manifest.slug,
-        first_party_domains: manifest.first_party_domains,
-        units,
-    })
-}
-
-/// Salvage-mode directory load: manifest-level damage (unreadable or
-/// malformed `manifest.json`, broken service header) is still a hard error,
-/// but each unit is isolated — a unit that cannot be loaded is dropped into
-/// the ledger (stage `unit`, offset = manifest entry index) instead of
-/// aborting the audit, and units that do load account their own per-record
-/// damage through the salvage readers.
+/// [`ServiceInput`] ready for [`crate::pipeline::Pipeline::run_inputs_scoped`],
+/// over `threads` workers (the `--threads` CLI flag lands here; 1 forces
+/// the serial path).
 ///
-/// On a pristine directory the returned [`ServiceInput`] is identical to
-/// [`load_capture_dir`]'s and the ledger is clean.
-pub fn load_capture_dir_salvage(dir: &Path) -> Result<(ServiceInput, ServiceLedger), LoadError> {
-    load_capture_dir_salvage_threads(dir, diffaudit_util::par::available_threads())
-}
-
-/// [`load_capture_dir_salvage`] with an explicit worker-thread count (the
-/// `--threads` CLI flag lands here; 1 forces the serial path).
+/// Manifest-level damage (unreadable or malformed `manifest.json`, broken
+/// service header) is a hard error, but each unit is isolated — a unit
+/// that cannot be loaded is dropped into the ledger (stage `unit`, offset =
+/// manifest entry index) instead of aborting the audit, and units that do
+/// load account their own per-record damage through the salvage decoders.
 pub fn load_capture_dir_salvage_threads(
     dir: &Path,
     threads: usize,
 ) -> Result<(ServiceInput, ServiceLedger), LoadError> {
-    load_capture_dir_salvage_scoped(dir, threads, &Scope::global(), &Ctl::unbounded())
-}
-
-/// [`load_capture_dir_salvage_threads`] with explicit instrumentation
-/// [`Scope`] and cancellation [`Ctl`] — the serve daemon's disk path. A
-/// tripped control does not abort the load: every unit still gets a ledger
-/// entry, but interrupted units are dropped with a `timeout:`/`cancelled:`
-/// reason so the run degrades per salvage policy instead of vanishing.
-pub fn load_capture_dir_salvage_scoped(
-    dir: &Path,
-    threads: usize,
-    scope: &Scope,
-    ctl: &Ctl,
-) -> Result<(ServiceInput, ServiceLedger), LoadError> {
+    let scope = Scope::global();
     scope.time("loader.dir", || {
         let manifest = read_manifest(dir)?;
         // Units are independent, so they load in parallel over the scoped
-        // executor (1 = today's serial path). Workers record `loader.unit`
-        // timings and counters into per-thread recorders merged at join, and
-        // never emit events — the debug/warn lines below go out on this thread
-        // afterwards, in manifest order, so the event stream and both returned
-        // vectors are identical for every thread count.
-        let loaded: Vec<(String, Result<LoadedUnit, String>, SalvageLog)> =
-            diffaudit_util::par::par_map_ctx(
-                threads.max(1),
-                &manifest.unit_entries,
-                diffaudit_obs::LocalRecorder::new,
-                |recorder, i, entry| {
-                    load_unit_salvage(dir, entry, i, &manifest.path, recorder, ctl)
-                },
-                |recorder| scope.absorb(recorder),
-            );
-        let (input, ledger) = collect_loaded_units(
+        // executor. Workers record `loader.unit` timings and counters into
+        // per-thread recorders merged at join, and never emit events — the
+        // debug/warn lines go out on this thread afterwards, in manifest
+        // order, so the event stream and both returned vectors are
+        // identical for every thread count.
+        let loaded = diffaudit_util::par::par_map_ctx(
+            threads.max(1),
+            &manifest.unit_entries,
+            diffaudit_obs::LocalRecorder::new,
+            |recorder, i, entry| {
+                let source = UnitSource::Disk {
+                    dir,
+                    manifest: &manifest.path,
+                    entry,
+                };
+                load_unit(source, i, recorder, &Ctl::unbounded())
+            },
+            |recorder| scope.absorb(recorder),
+        );
+        Ok(collect_loaded_units(
             manifest.name,
             manifest.slug,
             manifest.first_party_domains,
             loaded,
-            scope,
-        );
-        Ok((input, ledger))
+            &scope,
+        ))
     })
 }
 
@@ -468,27 +465,28 @@ fn collect_loaded_units(
     )
 }
 
-/// A trace artifact held in memory — the serve daemon's upload path, where
-/// captures arrive over HTTP and never touch the filesystem.
+/// A trace artifact held in memory: an upload to the serve daemon, where
+/// captures arrive over HTTP and never touch the filesystem (owned), or a
+/// generated dataset's artifact (borrowed, never copied).
 #[derive(Debug, Clone)]
-pub enum MemoryArtifact {
+pub enum MemoryArtifact<'a> {
     /// HAR 1.2 text (DevTools/Proxyman exports).
-    Har(String),
+    Har(Cow<'a, str>),
     /// pcap or pcapng bytes plus an optional `SSLKEYLOGFILE` text
     /// (the PCAPdroid path); the container format is sniffed from magic
     /// bytes by the auto decoder.
     Capture {
         /// Raw capture-file bytes.
-        bytes: Vec<u8>,
+        bytes: Cow<'a, [u8]>,
         /// Sibling key-log text, if the client supplied one.
-        keylog: Option<String>,
+        keylog: Option<Cow<'a, str>>,
     },
 }
 
-/// One uploaded trace unit: the manifest-entry metadata plus its in-memory
+/// One trace unit in memory: the manifest-entry metadata plus its
 /// artifact.
 #[derive(Debug, Clone)]
-pub struct MemoryUnit {
+pub struct MemoryUnit<'a> {
     /// Display label for reports and the ledger (the disk loader uses the
     /// artifact's file name here).
     pub label: String,
@@ -499,118 +497,80 @@ pub struct MemoryUnit {
     /// User-group category.
     pub category: TraceCategory,
     /// The artifact itself.
-    pub artifact: MemoryArtifact,
+    pub artifact: MemoryArtifact<'a>,
 }
 
-/// A full in-memory service upload — the same shape as a capture
-/// directory's `manifest.json`, with artifacts inline.
+/// A full in-memory service — the same shape as a capture directory's
+/// `manifest.json`, with artifacts inline.
 #[derive(Debug, Clone)]
-pub struct MemoryService {
+pub struct MemoryService<'a> {
     /// Service display name.
     pub name: String,
     /// Service slug.
     pub slug: String,
     /// First-party domains for the party-classification stage.
     pub first_party_domains: Vec<String>,
-    /// The uploaded units.
-    pub units: Vec<MemoryUnit>,
+    /// The units.
+    pub units: Vec<MemoryUnit<'a>>,
 }
 
-/// Salvage-decode one in-memory unit on a worker thread — the in-memory
-/// mirror of [`load_unit_salvage`], with the same spans, counters, and
-/// drop accounting.
-fn load_memory_unit(
-    unit: MemoryUnit,
-    index: usize,
-    recorder: &mut diffaudit_obs::LocalRecorder,
-    ctl: &Ctl,
-) -> (String, Result<LoadedUnit, String>, SalvageLog) {
-    let MemoryUnit {
-        label,
-        platform,
-        kind,
-        category,
-        artifact,
-    } = unit;
-    let mut log = SalvageLog::new();
-    let in_bytes = match &artifact {
-        MemoryArtifact::Har(text) => text.len() as u64,
-        MemoryArtifact::Capture { bytes, keylog } => {
-            bytes.len() as u64 + keylog.as_ref().map_or(0, |k| k.len() as u64)
-        }
-    };
-    let outcome = recorder.time("loader.unit", || match ctl.check() {
-        Err(i) => Err(format!("{i} (while loading {label})")),
-        Ok(()) => match &artifact {
-            MemoryArtifact::Har(text) => har_to_exchanges_salvage_ctl(text, &mut log, ctl)
-                .map(|exchanges| {
-                    let n = exchanges.len();
-                    LoadedUnit {
-                        platform,
-                        kind,
-                        category,
-                        exchanges,
-                        opaque_snis: Vec::new(),
-                        packet_count: n,
-                        flow_count: n,
-                    }
-                })
-                .map_err(|e| match e {
-                    HarError::Interrupted(i) => format!("{i} (while loading {label})"),
-                    other => format!("failed to decode {label}: {other}"),
-                }),
-            MemoryArtifact::Capture { bytes, keylog } => {
-                let keys = match keylog {
-                    Some(text) => KeyLog::parse_salvage(text, &mut log),
-                    None => KeyLog::new(),
+impl<'a> MemoryService<'a> {
+    /// One generated service as an in-memory upload, borrowing its
+    /// artifacts. Units are labelled with the file names [`write_dataset`]
+    /// gives them, so the ledger matches the disk loader's.
+    pub fn from_capture(capture: &'a ServiceCapture) -> MemoryService<'a> {
+        let units = capture
+            .artifacts
+            .iter()
+            .map(|artifact| {
+                let (platform, kind, category) =
+                    manifest_fields(artifact.platform, artifact.kind, artifact.category);
+                let stem = format!("{platform}-{category}-{kind}");
+                let (label, memory) = match &artifact.pcap {
+                    Some(pcap) => (
+                        format!("{stem}.pcap"),
+                        MemoryArtifact::Capture {
+                            bytes: Cow::Borrowed(pcap),
+                            keylog: artifact.keylog.as_deref().map(Cow::Borrowed),
+                        },
+                    ),
+                    None => (
+                        format!("{stem}.har"),
+                        MemoryArtifact::Har(Cow::Borrowed(artifact.har.as_deref().unwrap_or(""))),
+                    ),
                 };
-                decode_auto_salvage_ctl(bytes, &keys, &mut log, ctl)
-                    .map(|decoded| LoadedUnit {
-                        platform,
-                        kind,
-                        category,
-                        exchanges: decoded.exchanges,
-                        opaque_snis: decoded.opaque.into_iter().filter_map(|o| o.sni).collect(),
-                        packet_count: decoded.packet_count,
-                        flow_count: decoded.flow_count,
-                    })
-                    .map_err(|e| match e {
-                        DecodeError::Interrupted(i) => format!("{i} (while loading {label})"),
-                        other => format!("failed to decode {label}: {other}"),
-                    })
-            }
-        },
-    });
-    let result = match outcome {
-        Ok(unit) => {
-            log.ok(Stage::Unit);
-            recorder.add("loader.units.loaded", 1);
-            recorder.add("loader.unit.bytes.in", in_bytes);
-            recorder.observe(
-                "loader.unit.exchanges",
-                &diffaudit_obs::RECORD_BOUNDS,
-                unit.exchanges.len() as u64,
-            );
-            Ok(unit)
+                MemoryUnit {
+                    label,
+                    platform: artifact.platform,
+                    kind: artifact.kind,
+                    category: artifact.category,
+                    artifact: memory,
+                }
+            })
+            .collect();
+        MemoryService {
+            name: capture.spec.name.to_string(),
+            slug: capture.spec.slug.to_string(),
+            first_party_domains: capture
+                .spec
+                .first_party_domains
+                .iter()
+                .map(|d| d.to_string())
+                .collect(),
+            units,
         }
-        Err(reason) => {
-            recorder.add("loader.units.dropped", 1);
-            log.dropped(Stage::Unit, reason.clone(), Some(index as u64));
-            Err(reason)
-        }
-    };
-    (label, result, log)
+    }
 }
 
-/// Salvage-load an in-memory service upload into a [`ServiceInput`] +
-/// [`ServiceLedger`] pair — [`load_capture_dir_salvage_scoped`] for the
-/// serve daemon's HTTP upload path. There is no manifest file to fail on,
-/// so this is infallible at the service level: every unit either loads or
-/// lands in the ledger as a drop (interrupted units with a
+/// Salvage-load an in-memory service into a [`ServiceInput`] +
+/// [`ServiceLedger`] pair — the serve daemon's HTTP upload path and
+/// [`crate::pipeline::Pipeline::run`]'s. There is no manifest file to fail
+/// on, so this is infallible at the service level: every unit either loads
+/// or lands in the ledger as a drop (interrupted units with a
 /// `timeout:`/`cancelled:` reason), and the salvage policy decides what the
-/// degradation means.
+/// degradation means. Each unit is dropped as soon as it is decoded.
 pub fn load_memory_service(
-    svc: MemoryService,
+    svc: MemoryService<'_>,
     threads: usize,
     scope: &Scope,
     ctl: &Ctl,
@@ -622,16 +582,34 @@ pub fn load_memory_service(
             first_party_domains,
             units,
         } = svc;
-        let loaded: Vec<(String, Result<LoadedUnit, String>, SalvageLog)> =
-            diffaudit_util::par::par_map_ctx_owned(
-                threads.max(1),
-                units,
-                diffaudit_obs::LocalRecorder::new,
-                |recorder, i, unit| load_memory_unit(unit, i, recorder, ctl),
-                |recorder| scope.absorb(recorder),
-            );
+        let loaded = diffaudit_util::par::par_map_ctx_owned(
+            threads.max(1),
+            units,
+            diffaudit_obs::LocalRecorder::new,
+            |recorder, i, unit| load_unit(UnitSource::Memory(&unit), i, recorder, ctl),
+            |recorder| scope.absorb(recorder),
+        );
         collect_loaded_units(name, slug, first_party_domains, loaded, scope)
     })
+}
+
+/// The manifest `platform`, `kind` and `category` strings of a unit. A
+/// generated unit's files are named `<platform>-<category>-<kind>.<ext>`.
+fn manifest_fields(
+    platform: Platform,
+    kind: TraceKind,
+    category: TraceCategory,
+) -> (String, &'static str, String) {
+    let kind = match kind {
+        TraceKind::AccountCreation => "account-creation",
+        TraceKind::LoggedIn => "logged-in",
+        TraceKind::LoggedOut => "logged-out",
+    };
+    (
+        platform.label().to_lowercase(),
+        kind,
+        category.label().to_lowercase().replace(' ', "-"),
+    )
 }
 
 /// Write a generated dataset to disk in the loader's directory layout —
@@ -645,40 +623,31 @@ pub fn write_dataset(
     for capture in &dataset.services {
         let dir = out.join(capture.spec.slug);
         std::fs::create_dir_all(&dir).map_err(|e| LoadError::Io(dir.clone(), e))?;
+        let write = |file: &str, bytes: &[u8]| {
+            let path = dir.join(file);
+            std::fs::write(&path, bytes).map_err(|e| LoadError::Io(path, e))
+        };
         let mut units_json = Vec::new();
-        for artifact in &capture.artifacts {
-            let platform = artifact.platform.label().to_lowercase();
-            let kind = match artifact.kind {
-                TraceKind::AccountCreation => "account-creation",
-                TraceKind::LoggedIn => "logged-in",
-                TraceKind::LoggedOut => "logged-out",
-            };
-            let category = artifact.category.label().to_lowercase().replace(' ', "-");
-            let stem = format!("{platform}-{category}-{kind}");
-            let mut unit = Json::obj()
+        for unit in MemoryService::from_capture(capture).units {
+            let (platform, kind, category) =
+                manifest_fields(unit.platform, unit.kind, unit.category);
+            let mut entry = Json::obj()
                 .with("platform", Json::str(platform))
                 .with("kind", Json::str(kind))
-                .with("category", Json::str(category));
-            if let Some(har) = &artifact.har {
-                let file = format!("{stem}.har");
-                let path = dir.join(&file);
-                std::fs::write(&path, har).map_err(|e| LoadError::Io(path.clone(), e))?;
-                unit.set("file", Json::str(file));
-            }
-            if let Some(pcap) = &artifact.pcap {
-                let file = format!("{stem}.pcap");
-                let path = dir.join(&file);
-                std::fs::write(&path, pcap).map_err(|e| LoadError::Io(path.clone(), e))?;
-                unit.set("file", Json::str(file));
-                if let Some(keylog) = &artifact.keylog {
-                    let keys_file = format!("{stem}.keys");
-                    let keys_path = dir.join(&keys_file);
-                    std::fs::write(&keys_path, keylog)
-                        .map_err(|e| LoadError::Io(keys_path.clone(), e))?;
-                    unit.set("keylog", Json::str(keys_file));
+                .with("category", Json::str(category))
+                .with("file", Json::str(unit.label.as_str()));
+            match &unit.artifact {
+                MemoryArtifact::Har(text) => write(&unit.label, text.as_bytes())?,
+                MemoryArtifact::Capture { bytes, keylog } => {
+                    write(&unit.label, bytes)?;
+                    if let Some(keylog) = keylog {
+                        let keys_file = unit.label.replace(".pcap", ".keys");
+                        write(&keys_file, keylog.as_bytes())?;
+                        entry.set("keylog", Json::str(keys_file));
+                    }
                 }
             }
-            units_json.push(unit);
+            units_json.push(entry);
         }
         let manifest = Json::obj()
             .with(
@@ -724,24 +693,34 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn write_then_load_round_trips_the_audit() {
-        let dataset = generate_dataset(&DatasetOptions {
+    fn tiktok() -> diffaudit_services::GeneratedDataset {
+        generate_dataset(&DatasetOptions {
             seed: 21,
             volume_scale: 0.03,
             mobile_pinned_fraction: 0.1,
             services: vec!["tiktok".into()],
-        });
+        })
+    }
+
+    fn load_dir(dir: &Path) -> Result<(ServiceInput, ServiceLedger), LoadError> {
+        load_capture_dir_salvage_threads(dir, 2)
+    }
+
+    #[test]
+    fn write_then_load_round_trips_the_audit() {
+        let dataset = tiktok();
         let dir = temp_dir("roundtrip");
         let service_dirs = write_dataset(&dataset, &dir).unwrap();
         assert_eq!(service_dirs.len(), 1);
 
         // Load back from disk and audit.
-        let input = load_capture_dir(&service_dirs[0]).unwrap();
+        let (input, ledger) = load_dir(&service_dirs[0]).unwrap();
+        assert!(ledger.merged().is_clean());
         assert_eq!(input.slug, "tiktok");
         assert_eq!(input.units.len(), 14);
         let outcome = Pipeline::new(ClassificationMode::Oracle(dataset.key_truth.clone()))
-            .run_inputs(vec![input]);
+            .run_inputs_scoped(vec![input], &Scope::global(), &Ctl::unbounded())
+            .unwrap();
 
         // The from-disk audit must agree with the in-memory audit.
         let reference =
@@ -761,36 +740,35 @@ mod tests {
     fn manifest_errors_are_described() {
         let dir = temp_dir("errors");
         // No manifest at all.
-        assert!(matches!(load_capture_dir(&dir), Err(LoadError::Io(..))));
+        assert!(matches!(load_dir(&dir), Err(LoadError::Io(..))));
         // Bad JSON — and the error names the manifest.
         std::fs::write(dir.join("manifest.json"), "{oops").unwrap();
-        let err = load_capture_dir(&dir).unwrap_err();
+        let err = load_dir(&dir).unwrap_err();
         assert!(matches!(err, LoadError::ManifestJson(..)));
         assert!(err.to_string().contains("manifest.json"), "{err}");
         // Missing fields — also attributed to the manifest.
         std::fs::write(dir.join("manifest.json"), "{}").unwrap();
-        let err = load_capture_dir(&dir).unwrap_err();
+        let err = load_dir(&dir).unwrap_err();
         assert!(matches!(err, LoadError::ManifestShape(..)));
         assert!(err.to_string().contains("manifest.json"), "{err}");
-        // Bad platform.
+        // Bad platform: that unit is dropped, and the reason names both the
+        // manifest and the bad value.
         std::fs::write(
             dir.join("manifest.json"),
             r#"{"service":{"name":"X","slug":"x","firstPartyDomains":["x.com"]},
                 "units":[{"file":"a.har","platform":"fridge","kind":"logged-in","category":"child"}]}"#,
         )
         .unwrap();
-        let err = load_capture_dir(&dir).unwrap_err();
-        assert!(err.to_string().contains("fridge"), "{err}");
+        let (input, ledger) = load_dir(&dir).unwrap();
+        assert!(input.units.is_empty());
+        let reason = &ledger.units[0].log.drops()[0].reason;
+        assert!(reason.contains("fridge"), "{reason}");
+        assert!(reason.contains("manifest.json"), "{reason}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn written_service_dir(tag: &str) -> (diffaudit_services::GeneratedDataset, PathBuf, PathBuf) {
-        let dataset = generate_dataset(&DatasetOptions {
-            seed: 21,
-            volume_scale: 0.03,
-            mobile_pinned_fraction: 0.1,
-            services: vec!["tiktok".into()],
-        });
+        let dataset = tiktok();
         let dir = temp_dir(tag);
         let service_dirs = write_dataset(&dataset, &dir).unwrap();
         let service_dir = service_dirs.into_iter().next().unwrap();
@@ -799,14 +777,20 @@ mod tests {
 
     #[test]
     fn salvage_load_matches_strict_on_clean_directory() {
-        let (_, dir, service_dir) = written_service_dir("salvage-clean");
-        let strict = load_capture_dir(&service_dir).unwrap();
-        let (salvaged, ledger) = load_capture_dir_salvage(&service_dir).unwrap();
-        assert_eq!(salvaged.slug, strict.slug);
-        assert_eq!(salvaged.units.len(), strict.units.len());
-        for (a, b) in salvaged.units.iter().zip(&strict.units) {
-            assert_eq!(a.exchanges, b.exchanges);
-            assert_eq!(a.opaque_snis, b.opaque_snis);
+        // A directory `write_dataset` produced loads every unit with the
+        // generator's flow count and a clean ledger, so `--strict` accepts
+        // it.
+        let (dataset, dir, service_dir) = written_service_dir("salvage-clean");
+        let (salvaged, ledger) = load_dir(&service_dir).unwrap();
+        let artifacts = &dataset.services[0].artifacts;
+        assert_eq!(salvaged.slug, "tiktok");
+        assert_eq!(salvaged.units.len(), artifacts.len());
+        for (unit, artifact) in salvaged.units.iter().zip(artifacts) {
+            assert_eq!(unit.flow_count, artifact.exchange_count);
+            assert_eq!(
+                unit.exchanges.len() + unit.opaque_snis.len(),
+                artifact.exchange_count
+            );
         }
         let merged = ledger.merged();
         assert!(
@@ -814,75 +798,25 @@ mod tests {
             "clean directory must yield a clean ledger"
         );
         assert!(merged.conserved());
-        assert_eq!(ledger.units.len(), strict.units.len());
+        assert_eq!(ledger.units.len(), artifacts.len());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Build the in-memory upload equivalent of a generated service's
-    /// capture artifacts.
-    fn memory_service_from(dataset: &diffaudit_services::GeneratedDataset) -> MemoryService {
-        let capture = &dataset.services[0];
-        let units = capture
-            .artifacts
-            .iter()
-            .map(|artifact| {
-                let platform = artifact.platform;
-                let kind = artifact.kind;
-                let category = artifact.category;
-                let label = format!(
-                    "{}-{}",
-                    platform.label().to_lowercase(),
-                    category.label().to_lowercase().replace(' ', "-")
-                );
-                let mem = if let Some(har) = &artifact.har {
-                    MemoryArtifact::Har(har.clone())
-                } else {
-                    MemoryArtifact::Capture {
-                        bytes: artifact.pcap.clone().unwrap(),
-                        keylog: artifact.keylog.clone(),
-                    }
-                };
-                MemoryUnit {
-                    label,
-                    platform,
-                    kind,
-                    category,
-                    artifact: mem,
-                }
-            })
-            .collect();
-        MemoryService {
-            name: capture.spec.name.to_string(),
-            slug: capture.spec.slug.to_string(),
-            first_party_domains: capture
-                .spec
-                .first_party_domains
-                .iter()
-                .map(|d| d.to_string())
-                .collect(),
-            units,
-        }
     }
 
     #[test]
     fn memory_load_matches_disk_load() {
         let (dataset, dir, service_dir) = written_service_dir("memory-parity");
-        let (from_disk, disk_ledger) = load_capture_dir_salvage(&service_dir).unwrap();
+        let (from_disk, disk_ledger) = load_dir(&service_dir).unwrap();
         let scope = diffaudit_obs::Scope::job("test.memory");
         let (from_memory, mem_ledger) = load_memory_service(
-            memory_service_from(&dataset),
+            MemoryService::from_capture(&dataset.services[0]),
             2,
             &scope,
-            &diffaudit_util::cancel::Ctl::unbounded(),
+            &Ctl::unbounded(),
         );
-        assert_eq!(from_memory.slug, from_disk.slug);
-        assert_eq!(from_memory.units.len(), from_disk.units.len());
-        for (a, b) in from_memory.units.iter().zip(&from_disk.units) {
-            assert_eq!(a.exchanges, b.exchanges);
-            assert_eq!(a.opaque_snis, b.opaque_snis);
-        }
+        assert_eq!(format!("{from_memory:?}"), format!("{from_disk:?}"));
+        // Same labels, same clean ledgers.
+        assert_eq!(format!("{mem_ledger:?}"), format!("{disk_ledger:?}"));
         assert!(mem_ledger.merged().is_clean());
-        assert!(disk_ledger.merged().is_clean());
         // The job scope collected the loader instrumentation privately.
         let snap = scope.finish().expect("job snapshot");
         assert_eq!(
@@ -895,15 +829,10 @@ mod tests {
 
     #[test]
     fn expired_ctl_drops_memory_units_with_timeout_reason() {
-        let dataset = generate_dataset(&DatasetOptions {
-            seed: 21,
-            volume_scale: 0.03,
-            mobile_pinned_fraction: 0.1,
-            services: vec!["tiktok".into()],
-        });
-        let svc = memory_service_from(&dataset);
+        let dataset = tiktok();
+        let svc = MemoryService::from_capture(&dataset.services[0]);
         let total = svc.units.len();
-        let ctl = diffaudit_util::cancel::Ctl::new(
+        let ctl = Ctl::new(
             diffaudit_util::cancel::CancelToken::new(),
             diffaudit_util::cancel::Deadline::within(std::time::Duration::ZERO),
         );
@@ -928,28 +857,9 @@ mod tests {
     }
 
     #[test]
-    fn expired_ctl_drops_disk_units_with_timeout_reason() {
-        let (_, dir, service_dir) = written_service_dir("disk-timeout");
-        let ctl = diffaudit_util::cancel::Ctl::new(
-            diffaudit_util::cancel::CancelToken::new(),
-            diffaudit_util::cancel::Deadline::within(std::time::Duration::ZERO),
-        );
-        let (input, ledger) =
-            load_capture_dir_salvage_scoped(&service_dir, 2, &diffaudit_obs::Scope::global(), &ctl)
-                .unwrap();
-        assert!(input.units.is_empty());
-        assert!(ledger.units.iter().all(|u| u
-            .log
-            .drops()
-            .iter()
-            .any(|d| d.reason.starts_with("timeout:"))));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn salvage_load_isolates_a_broken_unit() {
-        let (_, dir, service_dir) = written_service_dir("salvage-broken");
-        let strict_units = load_capture_dir(&service_dir).unwrap().units.len();
+        let (dataset, dir, service_dir) = written_service_dir("salvage-broken");
+        let total = dataset.services[0].artifacts.len();
         // Destroy one pcap's header so its unit cannot be decoded at all.
         let victim = std::fs::read_dir(&service_dir)
             .unwrap()
@@ -958,13 +868,12 @@ mod tests {
             .unwrap();
         std::fs::write(&victim, b"not a pcap").unwrap();
 
-        assert!(load_capture_dir(&service_dir).is_err());
-        let (salvaged, ledger) = load_capture_dir_salvage(&service_dir).unwrap();
-        assert_eq!(salvaged.units.len(), strict_units - 1);
+        let (salvaged, ledger) = load_dir(&service_dir).unwrap();
+        assert_eq!(salvaged.units.len(), total - 1);
         let merged = ledger.merged();
         assert!(merged.conserved());
         assert_eq!(merged.stage(Stage::Unit).dropped, 1);
-        assert_eq!(merged.stage(Stage::Unit).processed, strict_units as u64 - 1);
+        assert_eq!(merged.stage(Stage::Unit).processed, total as u64 - 1);
         let dropped = ledger
             .units
             .iter()

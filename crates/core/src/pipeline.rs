@@ -18,14 +18,15 @@
 use crate::dest::DestinationAnalyzer;
 use crate::extract::extract_request;
 use crate::flow::{DataFlow, FlowTable4};
+use crate::loader::{load_memory_service, MemoryService};
 use diffaudit_blocklist::DestinationClass;
 use diffaudit_classifier::cache::{config_fingerprint, CacheReport, ClassifyCache};
 use diffaudit_classifier::majority::TEMPERATURE_GRID;
 use diffaudit_classifier::{ConfidenceAggregation, MajorityEnsemble};
-use diffaudit_nettrace::{decode_pcap, har_to_exchanges, Exchange, KeyLog};
+use diffaudit_nettrace::Exchange;
 use diffaudit_obs::Scope;
 use diffaudit_ontology::DataTypeCategory;
-use diffaudit_services::{GeneratedDataset, Platform, ServiceCapture, TraceCategory, TraceKind};
+use diffaudit_services::{GeneratedDataset, Platform, TraceCategory, TraceKind};
 use diffaudit_util::cancel::{Ctl, Interrupt};
 use diffaudit_util::par::{self, Key, KeyInterner};
 use std::collections::{BTreeSet, HashMap};
@@ -216,98 +217,31 @@ impl Pipeline {
         self.threads.unwrap_or_else(par::available_threads)
     }
 
-    /// Run over a generated dataset.
+    /// Run over a generated dataset: each service's artifacts go through
+    /// the same in-memory loader as a daemon upload (borrowed, not copied),
+    /// then through [`Pipeline::run_inputs_scoped`], instrumented on the
+    /// global registry.
     pub fn run(&self, dataset: &GeneratedDataset) -> AuditOutcome {
-        let _run_span = diffaudit_obs::span("pipeline");
         let scope = Scope::global();
-        let threads = self.threads();
-        let interner = KeyInterner::new();
-
-        // Phase 1: decode every unit (sharded per unit over the executor)
-        // and gather raw entries into the shared key batch.
-        let decode_span = diffaudit_obs::span("pipeline.decode");
-        let unit_refs: Vec<&diffaudit_services::TraceArtifact> = dataset
-            .services
-            .iter()
-            .flat_map(|capture| capture.artifacts.iter())
-            .collect();
-        let batch = KeyBatch::new();
-        let units = par::par_map_ctx(
-            threads,
-            &unit_refs,
-            UnitCtx::new,
-            |ctx, _, artifact| {
-                ctx.recorder
-                    .add("pipeline.decode.bytes.in", artifact_bytes(artifact));
-                let unit = ctx.recorder.time("pipeline.unit.decode", || {
-                    decode_artifact(artifact, &interner)
-                });
-                ctx.gather(&unit);
-                unit
-            },
-            |ctx| ctx.finish(&batch, &scope),
-        );
-        decode_span.finish();
-        let (unique_keys, key_occurrences) = batch.into_parts();
-        record_key_stats(&scope, key_occurrences, unique_keys.len());
-
-        // Phase 2: classify unique keys once.
-        let (key_labels, cache) = self.classify_keys_scoped(&unique_keys, &scope);
-
-        // Phase 3: destination analysis + assembly, parallel per service
-        // (each service gets its own memoizing analyzer).
-        let assemble_span = diffaudit_obs::span("pipeline.assemble");
-        let mut units = units.into_iter();
-        let grouped: Vec<(&ServiceCapture, Vec<DecodedUnit>)> = dataset
+        let ctl = Ctl::unbounded();
+        let inputs = dataset
             .services
             .iter()
             .map(|capture| {
-                (
-                    capture,
-                    units.by_ref().take(capture.artifacts.len()).collect(),
-                )
+                let svc = MemoryService::from_capture(capture);
+                load_memory_service(svc, self.threads(), &scope, &ctl).0
             })
             .collect();
-        let services = par::par_map_owned(threads, grouped, |_, (capture, units)| {
-            assemble_service(
-                capture.spec.name,
-                capture.spec.slug,
-                &capture.spec.first_party_domains,
-                units,
-                &key_labels,
-            )
-        });
-        assemble_span.finish();
-        AuditOutcome {
-            services,
-            key_labels,
-            unique_raw_keys: unique_keys.len(),
-            cache,
-        }
+        self.run_inputs_scoped(inputs, &scope, &ctl)
+            .expect("an unbounded control never interrupts")
     }
 
-    /// Run over externally supplied inputs (decoded traces loaded from
-    /// disk — see [`crate::loader`]).
-    pub fn run_inputs(&self, inputs: Vec<ServiceInput>) -> AuditOutcome {
-        match self.run_inputs_scoped(inputs, &Scope::global(), &Ctl::unbounded()) {
-            Ok(outcome) => outcome,
-            // An unbounded control has no deadline and an untripped private
-            // token; interruption is unreachable on this path.
-            Err(_) => AuditOutcome {
-                services: Vec::new(),
-                key_labels: HashMap::new(),
-                unique_raw_keys: 0,
-                cache: None,
-            },
-        }
-    }
-
-    /// Pipeline-as-a-library entry point: run over supplied inputs with an
-    /// explicit instrumentation [`Scope`] (global for the batch CLI, a
-    /// private job scope for the serve daemon) and a cancellation [`Ctl`]
-    /// checked between phases and before each unit. On interruption the
-    /// partial results are discarded and the interrupt is returned —
-    /// metrics gathered so far stay in `scope`.
+    /// Pipeline-as-a-library entry point: run over supplied inputs (see
+    /// [`crate::loader`]) with an explicit instrumentation [`Scope`] (global
+    /// for the batch CLI, a private job scope for the serve daemon) and a
+    /// cancellation [`Ctl`] checked between phases and before each unit.
+    /// On interruption the partial results are discarded and the interrupt
+    /// is returned — metrics gathered so far stay in `scope`.
     pub fn run_inputs_scoped(
         &self,
         inputs: Vec<ServiceInput>,
@@ -659,16 +593,6 @@ impl KeyBatch {
     }
 }
 
-/// Logical size of one generated artifact: the bytes the decode stage
-/// actually reads (HAR text, pcap container, TLS key log). Feeds the
-/// `pipeline.decode.bytes.in` counter the resource profiler derives
-/// stage throughput from.
-fn artifact_bytes(artifact: &diffaudit_services::TraceArtifact) -> u64 {
-    artifact.har.as_ref().map_or(0, |h| h.len() as u64)
-        + artifact.pcap.as_ref().map_or(0, |p| p.len() as u64)
-        + artifact.keylog.as_ref().map_or(0, |k| k.len() as u64)
-}
-
 /// Logical size of one decoded unit: the exchange payloads the extract
 /// stage walks (`pipeline.extract.bytes.in`).
 fn unit_bytes(unit: &LoadedUnit) -> u64 {
@@ -705,53 +629,6 @@ fn extract_keys(ex: &Exchange, interner: &KeyInterner) -> Vec<Key> {
     keys.sort();
     keys.dedup();
     keys
-}
-
-/// Decode one generated artifact into a [`DecodedUnit`]. Pure per-unit
-/// work — safe to shard over the executor.
-fn decode_artifact(
-    artifact: &diffaudit_services::TraceArtifact,
-    interner: &KeyInterner,
-) -> DecodedUnit {
-    let (exchanges, opaque_snis, packet_count, flow_count) = match artifact.platform {
-        Platform::Web | Platform::Desktop => {
-            let exchanges = artifact
-                .har
-                .as_deref()
-                .map(|har| har_to_exchanges(har).expect("generated HAR parses"))
-                .unwrap_or_default();
-            let n = exchanges.len();
-            (exchanges, Vec::new(), n, n)
-        }
-        Platform::Mobile => {
-            let keylog = KeyLog::parse(artifact.keylog.as_deref().unwrap_or(""));
-            let trace = decode_pcap(artifact.pcap.as_deref().unwrap_or(&[]), &keylog)
-                .expect("generated pcap decodes");
-            let opaque = trace.opaque.iter().filter_map(|o| o.sni.clone()).collect();
-            (
-                trace.exchanges,
-                opaque,
-                trace.packet_count,
-                trace.flow_count,
-            )
-        }
-    };
-    let requests = exchanges
-        .into_iter()
-        .map(|ex| {
-            let keys = extract_keys(&ex, interner);
-            (ex, keys)
-        })
-        .collect();
-    DecodedUnit {
-        platform: artifact.platform,
-        kind: artifact.kind,
-        category: artifact.category,
-        requests,
-        opaque_snis,
-        packet_count,
-        flow_count,
-    }
 }
 
 fn assemble_service(

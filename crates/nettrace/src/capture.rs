@@ -10,18 +10,20 @@
 //! reordering (radio loss), in the fault-injection spirit of smoltcp's
 //! examples.
 //!
-//! [`decode_pcap`] is the Wireshark/editcap side: pcap bytes + key log →
-//! reassembled flows → decrypted TLS → parsed HTTP exchanges, with opaque
-//! (undecryptable) flows reported alongside — the paper includes those in
-//! its analysis via their SNI.
+//! [`decode_auto_salvage`] is the Wireshark/editcap side: pcap or pcapng
+//! bytes + key log → reassembled flows → decrypted TLS → parsed HTTP
+//! exchanges, with opaque (undecryptable) flows reported alongside — the
+//! paper includes those in its analysis via their SNI. Damaged records are
+//! skipped and accounted in a [`SalvageLog`], never fatal.
 
 use crate::http::{Exchange, HttpRequest, HttpResponse};
 use crate::keylog::KeyLog;
 use crate::packet::{TcpFlags, TcpSegment};
 use crate::pcap::{PcapError, PcapReader, PcapWriter};
+use crate::pcapng::{PcapngError, PcapngReader};
 use crate::salvage::{SalvageLog, Stage};
 use crate::tcp::FlowTable;
-use crate::tls::{decode_client_stream, decode_server_stream, TlsError, TlsSession};
+use crate::tls::{decode_client_stream, decode_server_stream, DecodedTls, TlsError, TlsSession};
 use diffaudit_util::cancel::{Ctl, Interrupt};
 use diffaudit_util::Rng;
 
@@ -300,9 +302,7 @@ pub enum DecodeError {
     /// The pcap container was malformed.
     Pcap(PcapError),
     /// The pcapng container was malformed.
-    Pcapng(crate::pcapng::PcapngError),
-    /// A TLS stream was malformed (not merely undecryptable).
-    Tls(TlsError),
+    Pcapng(PcapngError),
     /// The decode was cut short by a deadline or cancellation; the message
     /// keeps the interrupt's reason code (`timeout`/`cancelled`) as its
     /// prefix so ledger drop reasons stay machine-matchable.
@@ -314,7 +314,6 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Pcap(e) => write!(f, "pcap error: {e}"),
             DecodeError::Pcapng(e) => write!(f, "pcapng error: {e}"),
-            DecodeError::Tls(e) => write!(f, "tls error: {e}"),
             DecodeError::Interrupted(i) => write!(f, "{i}"),
         }
     }
@@ -328,157 +327,13 @@ impl From<PcapError> for DecodeError {
     }
 }
 
-/// The Wireshark/editcap step: pcap bytes + key log → exchanges.
-///
-/// Damaged frames (bad checksums) and flows with reassembly gaps are
-/// skipped, not fatal — a real capture always has some, and the paper's
-/// pipeline likewise analyzes what it can decode.
-pub fn decode_pcap(pcap_bytes: &[u8], keylog: &KeyLog) -> Result<DecodedTrace, DecodeError> {
-    let reader = PcapReader::parse(pcap_bytes)?;
-    decode_packets(&reader.packets, keylog)
-}
-
-/// Decode either capture container: legacy pcap (with an external key log)
-/// or pcapng (whose embedded Decryption Secrets Blocks are merged with the
-/// external key log — pass an empty one for a self-contained editcap
-/// output).
-pub fn decode_auto(bytes: &[u8], external_keylog: &KeyLog) -> Result<DecodedTrace, DecodeError> {
-    if crate::pcapng::PcapngReader::sniff(bytes) {
-        let reader = crate::pcapng::PcapngReader::parse(bytes).map_err(DecodeError::Pcapng)?;
-        // Merge embedded + external secrets through the canonical format.
-        let merged = KeyLog::parse(&format!(
-            "{}{}",
-            reader.keylog.to_file_string(),
-            external_keylog.to_file_string()
-        ));
-        decode_packets(&reader.packets, &merged)
-    } else {
-        decode_pcap(bytes, external_keylog)
-    }
-}
-
-fn decode_packets(
-    packets: &[crate::pcap::PcapPacket],
-    keylog: &KeyLog,
-) -> Result<DecodedTrace, DecodeError> {
-    let packet_count = packets.len();
-    let mut table = FlowTable::new();
-    for packet in packets {
-        if let Ok(segment) = TcpSegment::decode(&packet.data) {
-            table.push(&segment, packet.timestamp_ms());
-        }
-    }
-    let mut exchanges = Vec::new();
-    let mut opaque = Vec::new();
-    for flow in table.flows() {
-        let client_stream = flow.client_stream();
-        if client_stream.is_empty() {
-            opaque.push(OpaqueFlow {
-                sni: None,
-                server_port: flow.server_port(),
-                segment_count: flow.segment_count,
-            });
-            continue;
-        }
-        // Tolerate truncated trailing records (dropped final segments).
-        let decoded = match decode_client_stream(&client_stream, keylog) {
-            Ok(d) => d,
-            Err(TlsError::Truncated) => {
-                // Retry on the longest prefix that parses by trimming until
-                // success is not practical; treat as opaque instead.
-                opaque.push(OpaqueFlow {
-                    sni: None,
-                    server_port: flow.server_port(),
-                    segment_count: flow.segment_count,
-                });
-                continue;
-            }
-            Err(e) => return Err(DecodeError::Tls(e)),
-        };
-        match decoded.plaintext {
-            Some(plaintext) => {
-                // Parse the (possibly pipelined) requests.
-                let server_plain =
-                    decode_server_stream(&flow.server_stream(), decoded.client_random, keylog)
-                        .ok()
-                        .and_then(|d| d.plaintext);
-                let mut responses = Vec::new();
-                if let Some(sp) = server_plain {
-                    let mut pos = 0;
-                    while let Some((resp, n)) = sp.get(pos..).and_then(HttpResponse::parse_wire) {
-                        responses.push(resp);
-                        pos += n;
-                    }
-                }
-                let mut pos = 0;
-                let mut req_index = 0;
-                while let Some((request, n)) = plaintext
-                    .get(pos..)
-                    .and_then(|rest| HttpRequest::parse_wire(rest, "https"))
-                {
-                    let response = responses
-                        .get(req_index)
-                        .cloned()
-                        .unwrap_or_else(HttpResponse::ok);
-                    exchanges.push(Exchange {
-                        timestamp_ms: flow.first_ts_ms,
-                        request,
-                        response,
-                    });
-                    pos += n;
-                    req_index += 1;
-                }
-            }
-            None => opaque.push(OpaqueFlow {
-                sni: decoded.sni,
-                server_port: flow.server_port(),
-                segment_count: flow.segment_count,
-            }),
-        }
-    }
-    Ok(DecodedTrace {
-        exchanges,
-        opaque,
-        packet_count,
-        flow_count: table.flow_count(),
-    })
-}
-
-/// Salvage counterpart of [`decode_pcap`]: the container is parsed with
-/// per-record resync, and every downstream stage skips-and-records instead
-/// of aborting. Only an unusable global header remains an error.
-pub fn decode_pcap_salvage(
-    pcap_bytes: &[u8],
-    keylog: &KeyLog,
-    log: &mut SalvageLog,
-) -> Result<DecodedTrace, DecodeError> {
-    decode_pcap_salvage_ctl(pcap_bytes, keylog, log, &Ctl::unbounded())
-}
-
-/// [`decode_pcap_salvage`] with a cancellation checkpoint per frame and per
-/// flow: a tripped `ctl` returns [`DecodeError::Interrupted`] (the partial
-/// salvage log is kept, so the caller's ledger still accounts the records
-/// processed before the cut-off).
-pub fn decode_pcap_salvage_ctl(
-    pcap_bytes: &[u8],
-    keylog: &KeyLog,
-    log: &mut SalvageLog,
-    ctl: &Ctl,
-) -> Result<DecodedTrace, DecodeError> {
-    let _span = diffaudit_obs::span("nettrace.decode.pcap");
-    diffaudit_obs::add("nettrace.decode.pcap.bytes.in", pcap_bytes.len() as u64);
-    diffaudit_obs::observe(
-        "nettrace.capture.bytes",
-        &diffaudit_obs::BYTE_BOUNDS,
-        pcap_bytes.len() as u64,
-    );
-    let reader = PcapReader::parse_salvage(pcap_bytes, log)?;
-    decode_packets_salvage_ctl(&reader.packets, keylog, log, ctl)
-}
-
-/// Salvage counterpart of [`decode_auto`]: dispatches on the container
-/// magic like [`decode_auto`], then decodes with per-record isolation.
-/// Only an unusable container header remains an error.
+/// The Wireshark/editcap step: capture bytes + key log → exchanges.
+/// Dispatches on the container magic: legacy pcap (decrypted with the
+/// external key log) or pcapng (whose embedded Decryption Secrets Blocks
+/// are merged with the external key log — pass an empty one for a
+/// self-contained editcap output). Damaged records, frames and flows are
+/// skipped and accounted in `log`; only an unusable container header is an
+/// error.
 pub fn decode_auto_salvage(
     bytes: &[u8],
     external_keylog: &KeyLog,
@@ -487,45 +342,44 @@ pub fn decode_auto_salvage(
     decode_auto_salvage_ctl(bytes, external_keylog, log, &Ctl::unbounded())
 }
 
-/// [`decode_auto_salvage`] with per-record cancellation checkpoints; see
-/// [`decode_pcap_salvage_ctl`].
+/// [`decode_auto_salvage`] with a cancellation checkpoint per frame and per
+/// flow: a tripped `ctl` returns [`DecodeError::Interrupted`] (the partial
+/// salvage log is kept, so the caller's ledger still accounts the records
+/// processed before the cut-off).
 pub fn decode_auto_salvage_ctl(
     bytes: &[u8],
     external_keylog: &KeyLog,
     log: &mut SalvageLog,
     ctl: &Ctl,
 ) -> Result<DecodedTrace, DecodeError> {
-    if crate::pcapng::PcapngReader::sniff(bytes) {
+    diffaudit_obs::observe(
+        "nettrace.capture.bytes",
+        &diffaudit_obs::BYTE_BOUNDS,
+        bytes.len() as u64,
+    );
+    if PcapngReader::sniff(bytes) {
         let _span = diffaudit_obs::span("nettrace.decode.pcapng");
         diffaudit_obs::add("nettrace.decode.pcapng.bytes.in", bytes.len() as u64);
-        diffaudit_obs::observe(
-            "nettrace.capture.bytes",
-            &diffaudit_obs::BYTE_BOUNDS,
-            bytes.len() as u64,
-        );
-        let reader =
-            crate::pcapng::PcapngReader::parse_salvage(bytes, log).map_err(DecodeError::Pcapng)?;
-        let merged = KeyLog::parse(&format!(
-            "{}{}",
-            reader.keylog.to_file_string(),
-            external_keylog.to_file_string()
-        ));
-        decode_packets_salvage_ctl(&reader.packets, &merged, log, ctl)
+        let mut reader = PcapngReader::parse_salvage(bytes, log).map_err(DecodeError::Pcapng)?;
+        reader.keylog.merge(external_keylog);
+        decode_packets(&reader.packets, &reader.keylog, log, ctl)
     } else {
-        decode_pcap_salvage_ctl(bytes, external_keylog, log, ctl)
+        let _span = diffaudit_obs::span("nettrace.decode.pcap");
+        diffaudit_obs::add("nettrace.decode.pcap.bytes.in", bytes.len() as u64);
+        let reader = PcapReader::parse_salvage(bytes, log)?;
+        decode_packets(&reader.packets, external_keylog, log, ctl)
     }
 }
 
-/// Like `decode_packets`, but infallible past the container: damaged frames
-/// and malformed TLS streams become drop records, reassembly gaps are
-/// accounted per flow, and whatever decodes cleanly is kept. On undamaged
-/// input the returned trace is identical to `decode_packets`' and the log
-/// stays clean (opaque pinned flows are expected, not damage).
+/// Frames → reassembled flows → decrypted TLS → HTTP exchanges. Damaged
+/// frames and malformed TLS streams become drop records, reassembly gaps
+/// are accounted per flow, and whatever decodes cleanly is kept; opaque
+/// pinned flows are expected, not damage, so they leave the log clean.
 ///
-/// The only non-salvageable outcomes are a broken container (upstream) and
-/// a tripped `ctl` — checked once per frame and once per flow so a stalled
-/// record stream is cut off at its deadline instead of wedging the worker.
-fn decode_packets_salvage_ctl(
+/// The only non-salvageable outcome is a tripped `ctl` — checked once per
+/// frame and once per flow so a stalled record stream is cut off at its
+/// deadline instead of wedging the worker.
+fn decode_packets(
     packets: &[crate::pcap::PcapPacket],
     keylog: &KeyLog,
     log: &mut SalvageLog,
@@ -559,43 +413,39 @@ fn decode_packets_salvage_ctl(
                 g.at_offset, g.stranded_bytes
             )
         });
-        if client_stream.is_empty() {
-            opaque.push(OpaqueFlow {
-                sni: None,
-                server_port: flow.server_port(),
-                segment_count: flow.segment_count,
-            });
-            match gap_reason {
-                Some(reason) => log.dropped(Stage::TcpFlow, reason, None),
-                // An empty client stream without buffered data beyond it
-                // means the capture simply has no client bytes — strict
-                // mode treats that as opaque too.
-                None => log.ok(Stage::TcpFlow),
-            }
-            continue;
-        }
-        let decoded = match decode_client_stream(&client_stream, keylog) {
-            Ok(d) => d,
-            Err(e) => {
-                // Unlike strict mode, *no* TLS error aborts the run: the
-                // flow is dropped with its reason and the audit continues.
-                opaque.push(OpaqueFlow {
-                    sni: None,
-                    server_port: flow.server_port(),
-                    segment_count: flow.segment_count,
-                });
-                let reason = match (&e, &gap_reason) {
-                    (TlsError::Truncated, Some(gap)) => format!("tls stream truncated; {gap}"),
-                    _ => format!("tls stream malformed: {e}"),
-                };
-                log.dropped(Stage::TcpFlow, reason, None);
-                continue;
+        let opaque_flow = |sni| OpaqueFlow {
+            sni,
+            server_port: flow.server_port(),
+            segment_count: flow.segment_count,
+        };
+        // An empty client stream without buffered data beyond it means the
+        // capture simply has no client bytes: opaque, not damage.
+        let decoded = if client_stream.is_empty() {
+            None
+        } else {
+            match decode_client_stream(&client_stream, keylog) {
+                Ok(decoded) => Some(decoded),
+                Err(e) => {
+                    // No TLS error aborts the run: the flow is dropped with
+                    // its reason and the audit continues.
+                    opaque.push(opaque_flow(None));
+                    let reason = match (&e, &gap_reason) {
+                        (TlsError::Truncated, Some(gap)) => format!("tls stream truncated; {gap}"),
+                        _ => format!("tls stream malformed: {e}"),
+                    };
+                    log.dropped(Stage::TcpFlow, reason, None);
+                    continue;
+                }
             }
         };
-        match decoded.plaintext {
-            Some(plaintext) => {
+        match decoded {
+            Some(DecodedTls {
+                plaintext: Some(plaintext),
+                client_random,
+                ..
+            }) => {
                 let server_plain =
-                    decode_server_stream(&flow.server_stream(), decoded.client_random, keylog)
+                    decode_server_stream(&flow.server_stream(), client_random, keylog)
                         .ok()
                         .and_then(|d| d.plaintext);
                 let mut responses = Vec::new();
@@ -635,25 +485,15 @@ fn decode_packets_salvage_ctl(
                         Some(pos as u64),
                     );
                 }
-                match gap_reason {
-                    Some(reason) => log.dropped(Stage::TcpFlow, reason, None),
-                    None => log.ok(Stage::TcpFlow),
-                }
             }
-            None => {
-                // No logged secret: a certificate-pinned flow. That is an
-                // expected property of the capture, not damage — the paper
-                // analyzes such flows via SNI.
-                opaque.push(OpaqueFlow {
-                    sni: decoded.sni,
-                    server_port: flow.server_port(),
-                    segment_count: flow.segment_count,
-                });
-                match gap_reason {
-                    Some(reason) => log.dropped(Stage::TcpFlow, reason, None),
-                    None => log.ok(Stage::TcpFlow),
-                }
-            }
+            // No logged secret: a certificate-pinned flow. That is an
+            // expected property of the capture, not damage — the paper
+            // analyzes such flows via SNI.
+            decoded => opaque.push(opaque_flow(decoded.and_then(|d| d.sni))),
+        }
+        match gap_reason {
+            Some(reason) => log.dropped(Stage::TcpFlow, reason, None),
+            None => log.ok(Stage::TcpFlow),
         }
     }
     diffaudit_obs::add("nettrace.packets", packet_count as u64);
@@ -691,6 +531,22 @@ mod tests {
     use super::*;
     use diffaudit_domains::Url;
 
+    /// Decode a finished session's pcap with its key log, asserting the
+    /// salvage log stayed clean (what `--strict` accepts).
+    fn decode_clean(pcap: &[u8], keylog_text: &str) -> DecodedTrace {
+        let (decoded, log) = decode_logged(pcap, keylog_text);
+        assert!(log.is_clean(), "{:?}", log.drops());
+        decoded
+    }
+
+    fn decode_logged(pcap: &[u8], keylog_text: &str) -> (DecodedTrace, SalvageLog) {
+        let mut log = SalvageLog::new();
+        let keylog = KeyLog::parse_salvage(keylog_text, &mut log);
+        let decoded = decode_auto_salvage(pcap, &keylog, &mut log).unwrap();
+        assert!(log.conserved());
+        (decoded, log)
+    }
+
     fn exchange(url: &str, body: &str) -> Exchange {
         Exchange {
             timestamp_ms: 1_700_000_000_000,
@@ -715,10 +571,10 @@ mod tests {
         session.capture(&ex2);
         assert_eq!(session.flow_count(), 2);
         let (pcap, keylog_text) = session.finish();
-        let keylog = KeyLog::parse(&keylog_text);
+        let keylog = KeyLog::parse_salvage(&keylog_text, &mut SalvageLog::new());
         assert_eq!(keylog.len(), 2);
 
-        let decoded = decode_pcap(&pcap, &keylog).unwrap();
+        let decoded = decode_clean(&pcap, &keylog_text);
         assert_eq!(decoded.flow_count, 2);
         assert_eq!(decoded.exchanges.len(), 2);
         assert!(decoded.opaque.is_empty());
@@ -740,7 +596,7 @@ mod tests {
         session.capture(&exchange("https://pinned.tiktok.com/api/x", r#"{"k":1}"#));
         assert_eq!(session.pinned_flow_count(), 1);
         let (pcap, keylog_text) = session.finish();
-        let decoded = decode_pcap(&pcap, &KeyLog::parse(&keylog_text)).unwrap();
+        let decoded = decode_clean(&pcap, &keylog_text);
         assert!(decoded.exchanges.is_empty());
         assert_eq!(decoded.opaque.len(), 1);
         assert_eq!(decoded.opaque[0].sni.as_deref(), Some("pinned.tiktok.com"));
@@ -760,7 +616,7 @@ mod tests {
         let ex = exchange("https://t.example.com/batch", body);
         session.capture(&ex);
         let (pcap, keylog_text) = session.finish();
-        let decoded = decode_pcap(&pcap, &KeyLog::parse(&keylog_text)).unwrap();
+        let decoded = decode_clean(&pcap, &keylog_text);
         assert_eq!(decoded.exchanges.len(), 1);
         assert_eq!(decoded.exchanges[0].request.body, ex.request.body);
     }
@@ -780,10 +636,12 @@ mod tests {
             ));
         }
         let (pcap, keylog_text) = session.finish();
-        let decoded = decode_pcap(&pcap, &KeyLog::parse(&keylog_text)).unwrap();
-        // Every flow is accounted for as either decoded or opaque.
+        let (decoded, log) = decode_logged(&pcap, &keylog_text);
+        // Every flow is accounted for as either decoded or opaque, and
+        // each gapped one is in the log.
         assert_eq!(decoded.flow_count, 5);
         assert_eq!(decoded.exchanges.len() + decoded.opaque.len(), 5);
+        assert!(log.stage(Stage::TcpFlow).dropped >= 1);
     }
 
     #[test]
@@ -811,45 +669,47 @@ mod tests {
         let ex = exchange("https://api.example.com/x", r#"{"k":"v"}"#);
         session.capture(&ex);
         let (pcap, keylog_text) = session.finish();
-        let keylog = KeyLog::parse(&keylog_text);
+        let keylog = KeyLog::parse_salvage(&keylog_text, &mut SalvageLog::new());
         // editcap path: secrets embedded, no external key log needed.
         let pcapng = inject_secrets(&pcap, &keylog).unwrap();
-        let decoded = decode_auto(&pcapng, &KeyLog::new()).unwrap();
+        let decoded = decode_clean(&pcapng, "");
         assert_eq!(decoded.exchanges.len(), 1);
         assert_eq!(decoded.exchanges[0].request.body, ex.request.body);
         // Legacy path through the same entry point.
-        let decoded_legacy = decode_auto(&pcap, &keylog).unwrap();
-        assert_eq!(decoded_legacy.exchanges.len(), 1);
+        let decoded_legacy = decode_clean(&pcap, &keylog_text);
+        assert_eq!(decoded_legacy.exchanges, decoded.exchanges);
     }
 
     #[test]
     fn salvage_decode_matches_strict_on_clean_capture() {
+        // On an undamaged capture every flow is either decrypted back to
+        // the exchange that was captured or reported opaque with its SNI,
+        // and the log is clean (pinned flows are expected, not damage).
         let mut session = CaptureSession::new(CaptureOptions {
             pinned_fraction: 0.3,
             seed: 42,
             ..Default::default()
         });
-        for i in 0..4 {
-            session.capture(&exchange(
-                &format!("https://s{i}.example.com/x"),
-                r#"{"k":"v"}"#,
-            ));
+        let captured: Vec<Exchange> = (0..4)
+            .map(|i| exchange(&format!("https://s{i}.example.com/x"), r#"{"k":"v"}"#))
+            .collect();
+        for ex in &captured {
+            session.capture(ex);
         }
+        let pinned = session.pinned_flow_count();
         let (pcap, keylog_text) = session.finish();
-        let keylog = KeyLog::parse(&keylog_text);
-        let strict = decode_pcap(&pcap, &keylog).unwrap();
-        let mut log = SalvageLog::new();
-        let salvaged = decode_pcap_salvage(&pcap, &keylog, &mut log).unwrap();
-        assert_eq!(strict.exchanges, salvaged.exchanges);
-        assert_eq!(strict.opaque, salvaged.opaque);
-        assert_eq!(strict.flow_count, salvaged.flow_count);
-        // Pinned (opaque) flows are expected, not damage: the log is clean.
-        assert!(
-            log.is_clean(),
-            "clean capture produced drops: {:?}",
-            log.drops()
-        );
-        assert!(log.conserved());
+        let salvaged = decode_clean(&pcap, &keylog_text);
+        assert_eq!(salvaged.flow_count, captured.len());
+        assert_eq!(salvaged.opaque.len(), pinned);
+        assert!(salvaged.opaque.iter().all(|o| o.sni.is_some()));
+        for ex in &salvaged.exchanges {
+            let original = captured
+                .iter()
+                .find(|c| c.request.url == ex.request.url)
+                .expect("decoded exchange was captured");
+            assert_eq!(ex.request.body, original.request.body);
+        }
+        assert_eq!(salvaged.exchanges.len() + pinned, captured.len());
     }
 
     #[test]
@@ -862,12 +722,10 @@ mod tests {
             ));
         }
         let (mut pcap, keylog_text) = session.finish();
-        let keylog = KeyLog::parse(&keylog_text);
         // Flip a byte mid-file: some flow's frame fails its checksum.
         let mid = pcap.len() / 2;
         pcap[mid] ^= 0xFF;
-        let mut log = SalvageLog::new();
-        let salvaged = decode_pcap_salvage(&pcap, &keylog, &mut log).unwrap();
+        let (salvaged, log) = decode_logged(&pcap, &keylog_text);
         // Conservation: every flow accounted, most exchanges recovered.
         assert_eq!(salvaged.flow_count, 6);
         assert!(
@@ -875,10 +733,8 @@ mod tests {
             "{}",
             salvaged.exchanges.len()
         );
+        // The damage is accounted at frame or flow level.
         assert!(!log.is_clean());
-        assert!(log.conserved());
-        // Strict mode may or may not abort on this input, but salvage must
-        // account for the damage either at frame or flow level.
         assert!(log.total_dropped() >= 1);
     }
 
@@ -889,11 +745,19 @@ mod tests {
         let ex = exchange("https://api.example.com/x", r#"{"k":"v"}"#);
         session.capture(&ex);
         let (pcap, keylog_text) = session.finish();
-        let keylog = KeyLog::parse(&keylog_text);
+        let keylog = KeyLog::parse_salvage(&keylog_text, &mut SalvageLog::new());
         let pcapng = inject_secrets(&pcap, &keylog).unwrap();
         let mut log = SalvageLog::new();
         let decoded = decode_auto_salvage(&pcapng, &KeyLog::new(), &mut log).unwrap();
         assert_eq!(decoded.exchanges.len(), 1);
+        assert!(log.is_clean());
+        // The embedded secrets merge with an external key log; a key for a
+        // client random the capture never used changes nothing.
+        let mut external = KeyLog::new();
+        external.insert([7u8; 32], [8u8; 32]);
+        let mut log = SalvageLog::new();
+        let merged = decode_auto_salvage(&pcapng, &external, &mut log).unwrap();
+        assert_eq!(merged.exchanges, decoded.exchanges);
         assert!(log.is_clean());
     }
 
@@ -903,14 +767,14 @@ mod tests {
         let mut session = CaptureSession::new(CaptureOptions::default());
         session.capture(&exchange("https://a.example.com/x", r#"{"k":"v"}"#));
         let (pcap, keylog_text) = session.finish();
-        let keylog = KeyLog::parse(&keylog_text);
+        let keylog = KeyLog::parse_salvage(&keylog_text, &mut SalvageLog::new());
         let ctl = Ctl::new(
             CancelToken::new(),
             Deadline::within(std::time::Duration::ZERO),
         );
         std::thread::sleep(std::time::Duration::from_millis(1));
         let mut log = SalvageLog::new();
-        let err = decode_pcap_salvage_ctl(&pcap, &keylog, &mut log, &ctl).unwrap_err();
+        let err = decode_auto_salvage_ctl(&pcap, &keylog, &mut log, &ctl).unwrap_err();
         assert_eq!(err, DecodeError::Interrupted(Interrupt::TimedOut));
         assert!(err.to_string().starts_with("timeout"), "{err}");
     }
@@ -920,11 +784,11 @@ mod tests {
         let mut session = CaptureSession::new(CaptureOptions::default());
         session.capture(&exchange("https://a.example.com/x", r#"{"k":"v"}"#));
         let (pcap, keylog_text) = session.finish();
-        let keylog = KeyLog::parse(&keylog_text);
+        let keylog = KeyLog::parse_salvage(&keylog_text, &mut SalvageLog::new());
         let mut log_a = SalvageLog::new();
         let mut log_b = SalvageLog::new();
-        let plain = decode_pcap_salvage(&pcap, &keylog, &mut log_a).unwrap();
-        let ctl = decode_pcap_salvage_ctl(&pcap, &keylog, &mut log_b, &Ctl::unbounded()).unwrap();
+        let plain = decode_auto_salvage(&pcap, &keylog, &mut log_a).unwrap();
+        let ctl = decode_auto_salvage_ctl(&pcap, &keylog, &mut log_b, &Ctl::unbounded()).unwrap();
         assert_eq!(plain.exchanges, ctl.exchanges);
         assert_eq!(log_a.total_dropped(), log_b.total_dropped());
     }

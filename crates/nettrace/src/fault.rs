@@ -405,6 +405,14 @@ fn overlap_record(span: &RecordSpan, data: &[u8]) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::pcap::{PcapReader, PcapWriter};
+    use crate::salvage::{SalvageLog, Stage};
+
+    fn parse_clean(data: &[u8]) -> PcapReader {
+        let mut log = SalvageLog::new();
+        let reader = PcapReader::parse_salvage(data, &mut log).unwrap();
+        assert!(log.is_clean(), "{:?}", log.drops());
+        reader
+    }
 
     fn sample_pcap() -> Vec<u8> {
         let mut w = PcapWriter::new();
@@ -480,22 +488,22 @@ mod tests {
             rate: 0.5,
         };
         let out = spec.apply_pcap(&data);
-        let orig = PcapReader::parse(&data).unwrap().packets.len();
-        let kept = PcapReader::parse(&out).unwrap().packets.len();
+        let orig = parse_clean(&data).packets.len();
+        let kept = parse_clean(&out).packets.len();
         assert!(kept < orig, "{kept} vs {orig}");
     }
 
     #[test]
     fn reorder_and_duplicate_preserve_payload_multiset() {
         let data = sample_pcap();
-        let orig = PcapReader::parse(&data).unwrap();
+        let orig = parse_clean(&data);
         for op in [FaultOp::SegmentReorder, FaultOp::SegmentDuplicate] {
             let spec = FaultSpec {
                 op,
                 seed: 9,
                 rate: 0.6,
             };
-            let out = PcapReader::parse(&spec.apply_pcap(&data)).unwrap();
+            let out = parse_clean(&spec.apply_pcap(&data));
             let mut orig_payloads: Vec<Vec<u8>> =
                 orig.packets.iter().map(|p| p.data.clone()).collect();
             let mut new_payloads: Vec<Vec<u8>> =
@@ -516,7 +524,11 @@ mod tests {
             seed: 2,
             rate: 0.9,
         };
-        assert!(PcapReader::parse(&spec.apply_pcap(&data)).is_err());
+        // Strict acceptance means a clean salvage log; the lies are in it.
+        let mut log = SalvageLog::new();
+        let _ = PcapReader::parse_salvage(&spec.apply_pcap(&data), &mut log);
+        assert!(log.stage(Stage::PcapRecord).dropped > 0);
+        assert!(log.conserved());
     }
 
     #[test]

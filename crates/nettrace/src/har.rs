@@ -294,12 +294,6 @@ fn json_body(obj: Option<&Json>) -> Vec<u8> {
     }
 }
 
-/// Parse a HAR document (as text) back into exchanges.
-pub fn har_to_exchanges(text: &str) -> Result<Vec<Exchange>, HarError> {
-    let doc = parse(text).map_err(|e| HarError::Json(e.to_string()))?;
-    har_json_to_exchanges(&doc)
-}
-
 /// Parse one `log.entries[]` element. `base` is the entry's JSON-pointer
 /// prefix for error paths.
 fn entry_to_exchange(entry: &Json, base: &str) -> Result<Exchange, HarError> {
@@ -352,23 +346,10 @@ fn entry_to_exchange(entry: &Json, base: &str) -> Result<Exchange, HarError> {
     })
 }
 
-/// Parse an already-parsed HAR JSON value into exchanges.
-pub fn har_json_to_exchanges(doc: &Json) -> Result<Vec<Exchange>, HarError> {
-    let entries = doc
-        .pointer("/log/entries")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| shape_err("/log/entries", "array"))?;
-    let mut exchanges = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        exchanges.push(entry_to_exchange(entry, &format!("/log/entries/{i}"))?);
-    }
-    Ok(exchanges)
-}
-
-/// Salvage parse: document-level failures (invalid JSON, no `log.entries`
-/// array) are still errors, but each malformed entry is skipped and
-/// accounted for in `log` (stage `HarEntry`, offset = entry index) instead
-/// of aborting the whole document.
+/// Parse a HAR document (as text) back into exchanges. Document-level
+/// failures (invalid JSON, no `log.entries` array) are errors; each
+/// malformed entry is skipped and accounted for in `log` (stage
+/// `HarEntry`, offset = entry index) instead of aborting the document.
 pub fn har_to_exchanges_salvage(
     text: &str,
     log: &mut crate::salvage::SalvageLog,
@@ -419,6 +400,15 @@ pub fn har_to_exchanges_salvage_ctl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::salvage::{SalvageLog, Stage};
+
+    /// Parse, asserting every entry was accepted (what `--strict` accepts).
+    fn parse_clean(text: &str) -> Vec<Exchange> {
+        let mut log = SalvageLog::new();
+        let exchanges = har_to_exchanges_salvage(text, &mut log).unwrap();
+        assert!(log.is_clean(), "{:?}", log.drops());
+        exchanges
+    }
 
     fn sample_exchange() -> Exchange {
         let mut req = HttpRequest::post(
@@ -460,7 +450,7 @@ mod tests {
         let exchanges = vec![sample_exchange()];
         let har = har_from_exchanges(&exchanges);
         let text = har.to_pretty_string();
-        let back = har_to_exchanges(&text).unwrap();
+        let back = parse_clean(&text);
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].timestamp_ms, exchanges[0].timestamp_ms);
         assert_eq!(back[0].request.method, Method::Post);
@@ -506,19 +496,24 @@ mod tests {
                 .and_then(Json::as_str),
             Some("base64")
         );
-        let back = har_to_exchanges(&har.to_string()).unwrap();
+        let back = parse_clean(&har.to_string());
         assert_eq!(back[0].request.body, ex.request.body);
     }
 
     #[test]
     fn shape_errors_are_located() {
-        let err = har_to_exchanges(r#"{"log": {}}"#).unwrap_err();
+        let err = har_to_exchanges_salvage(r#"{"log": {}}"#, &mut SalvageLog::new()).unwrap_err();
         assert!(matches!(err, HarError::Shape { ref path, .. } if path == "/log/entries"));
-        let err = har_to_exchanges(
+        let mut log = SalvageLog::new();
+        let exchanges = har_to_exchanges_salvage(
             r#"{"log":{"entries":[{"startedDateTime":"1970-01-01T00:00:00Z","request":{"method":"BREW","url":"https://x.com/"},"response":{"status":200,"headers":[]}}]}}"#,
-        );
+            &mut log,
+        )
+        .unwrap();
+        assert!(exchanges.is_empty());
         // BREW is rejected before headers are inspected.
-        assert!(matches!(err, Err(HarError::BadMethod(_))), "{err:?}");
+        let reason = &log.drops()[0].reason;
+        assert_eq!(reason, &HarError::BadMethod("BREW".into()).to_string());
     }
 
     #[test]
@@ -534,12 +529,11 @@ mod tests {
              "request":{"method":"POST","url":"https://also-good.example.com/c","headers":[]},
              "response":{"status":204,"headers":[]}}
         ]}}"#;
-        assert!(har_to_exchanges(text).is_err(), "strict mode must abort");
-        let mut log = crate::salvage::SalvageLog::new();
+        let mut log = SalvageLog::new();
         let exchanges = har_to_exchanges_salvage(text, &mut log).unwrap();
         assert_eq!(exchanges.len(), 2);
         assert_eq!(exchanges[1].response.status, 204);
-        let counts = log.stage(crate::salvage::Stage::HarEntry);
+        let counts = log.stage(Stage::HarEntry);
         assert_eq!((counts.processed, counts.dropped), (2, 1));
         assert_eq!(log.drops()[0].offset, Some(1));
         assert!(log.conserved());
@@ -547,7 +541,7 @@ mod tests {
 
     #[test]
     fn salvage_still_errors_on_document_damage() {
-        let mut log = crate::salvage::SalvageLog::new();
+        let mut log = SalvageLog::new();
         assert!(matches!(
             har_to_exchanges_salvage("{not json", &mut log),
             Err(HarError::Json(_))
@@ -560,13 +554,15 @@ mod tests {
 
     #[test]
     fn salvage_matches_strict_on_clean_document() {
-        let har = har_from_exchanges(&[sample_exchange()]);
-        let text = har.to_pretty_string();
-        let strict = har_to_exchanges(&text).unwrap();
-        let mut log = crate::salvage::SalvageLog::new();
+        // A document the writer produced reads back entry for entry with a
+        // clean log, so `--strict` accepts it.
+        let exchanges = vec![sample_exchange(), sample_exchange()];
+        let text = har_from_exchanges(&exchanges).to_pretty_string();
+        let mut log = SalvageLog::new();
         let salvaged = har_to_exchanges_salvage(&text, &mut log).unwrap();
-        assert_eq!(strict, salvaged);
+        assert_eq!(salvaged, exchanges);
         assert!(log.is_clean());
+        assert_eq!(log.stage(Stage::HarEntry).processed, 2);
     }
 
     #[test]

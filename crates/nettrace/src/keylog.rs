@@ -62,22 +62,17 @@ impl KeyLog {
         out
     }
 
-    /// Parse from file contents. Unknown line types and malformed lines are
-    /// skipped (real key logs carry comments and other label types).
-    pub fn parse(text: &str) -> KeyLog {
-        let mut log = KeyLog::new();
-        for line in text.lines() {
-            if let LineOutcome::Entry(cr, secret) = parse_line(line) {
-                log.insert(cr, secret);
-            }
-        }
-        log
+    /// Fold `other`'s sessions into this log; where both hold a client
+    /// random, `other`'s secret wins (the later key-log line). Secrets stay
+    /// opaque: they move between logs without being serialized.
+    pub fn merge(&mut self, other: &KeyLog) {
+        self.entries.extend(&other.entries);
     }
 
-    /// Salvage parse: same acceptance as [`KeyLog::parse`], but every
-    /// damaged line is accounted for in `log` (stage `KeylogLine`, offset =
-    /// 1-based line number) instead of vanishing silently. Comments and
-    /// blank lines are neither processed nor dropped.
+    /// Parse from file contents. Comments and blank lines are neither
+    /// processed nor dropped; every other line that is not a well-formed
+    /// `CLIENT_RANDOM` entry is skipped and accounted for in `log` (stage
+    /// `KeylogLine`, offset = 1-based line number).
     pub fn parse_salvage(text: &str, log: &mut crate::salvage::SalvageLog) -> KeyLog {
         use crate::salvage::Stage;
         let mut keylog = KeyLog::new();
@@ -133,6 +128,14 @@ fn parse_line(line: &str) -> LineOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::salvage::{SalvageLog, Stage};
+
+    fn parse_clean(text: &str) -> KeyLog {
+        let mut log = SalvageLog::new();
+        let parsed = KeyLog::parse_salvage(text, &mut log);
+        assert!(log.is_clean(), "{:?}", log.drops());
+        parsed
+    }
 
     #[test]
     fn round_trip() {
@@ -140,7 +143,7 @@ mod tests {
         log.insert([1u8; 32], [2u8; 32]);
         log.insert([3u8; 32], [4u8; 32]);
         let text = log.to_file_string();
-        let parsed = KeyLog::parse(&text);
+        let parsed = parse_clean(&text);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed.secret_for(&[1u8; 32]), Some(&[2u8; 32]));
         assert_eq!(parsed.secret_for(&[3u8; 32]), Some(&[4u8; 32]));
@@ -157,16 +160,18 @@ CLIENT_RANDOM not-hex-at-all also-not-hex
 
 CLIENT_RANDOM 0101010101010101010101010101010101010101010101010101010101010101 0202020202020202020202020202020202020202020202020202020202020202
 ";
-        let log = KeyLog::parse(text);
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.secret_for(&[1u8; 32]), Some(&[2u8; 32]));
+        let mut log = SalvageLog::new();
+        let parsed = KeyLog::parse_salvage(text, &mut log);
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed.secret_for(&[1u8; 32]), Some(&[2u8; 32]));
+        assert_eq!(log.stage(Stage::KeylogLine).dropped, 3);
     }
 
     #[test]
     fn empty_log() {
         assert!(KeyLog::new().is_empty());
         assert_eq!(KeyLog::new().to_file_string(), "");
-        assert!(KeyLog::parse("").is_empty());
+        assert!(parse_clean("").is_empty());
     }
 
     #[test]
@@ -177,10 +182,10 @@ CLIENT_RANDOM deadbeef tooshort
 CLIENT_RANDOM 0101010101010101010101010101010101010101010101010101010101010101 0202020202020202020202020202020202020202020202020202020202020202
 garbage line
 ";
-        let mut log = crate::salvage::SalvageLog::new();
+        let mut log = SalvageLog::new();
         let parsed = KeyLog::parse_salvage(text, &mut log);
         assert_eq!(parsed.len(), 1);
-        let counts = log.stage(crate::salvage::Stage::KeylogLine);
+        let counts = log.stage(Stage::KeylogLine);
         assert_eq!((counts.processed, counts.dropped), (1, 2));
         assert!(log.conserved());
         // Offsets are 1-based line numbers.
@@ -192,10 +197,34 @@ garbage line
     fn salvage_parse_clean_on_well_formed_log() {
         let mut source = KeyLog::new();
         source.insert([1u8; 32], [2u8; 32]);
-        let mut log = crate::salvage::SalvageLog::new();
+        let mut log = SalvageLog::new();
         let parsed = KeyLog::parse_salvage(&source.to_file_string(), &mut log);
         assert_eq!(parsed.len(), 1);
         assert!(log.is_clean());
+    }
+
+    #[test]
+    fn merge_keeps_both_sides_and_the_later_secret_wins() {
+        let mut a = KeyLog::new();
+        a.insert([1u8; 32], [2u8; 32]);
+        a.insert([3u8; 32], [4u8; 32]);
+        let mut b = KeyLog::new();
+        b.insert([3u8; 32], [9u8; 32]); // same client random, new secret
+        b.insert([5u8; 32], [6u8; 32]);
+        // Same result as parsing the two files concatenated.
+        let concatenated = parse_clean(&format!("{}{}", a.to_file_string(), b.to_file_string()));
+        a.merge(&b);
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.secret_for(&[1u8; 32]), Some(&[2u8; 32]));
+        assert_eq!(a.secret_for(&[3u8; 32]), Some(&[9u8; 32]));
+        assert_eq!(a.secret_for(&[5u8; 32]), Some(&[6u8; 32]));
+        assert_eq!(a.to_file_string(), concatenated.to_file_string());
+        // Merging into an empty log copies; merging an empty log is a no-op.
+        let mut empty = KeyLog::new();
+        empty.merge(&a);
+        assert_eq!(empty.to_file_string(), a.to_file_string());
+        a.merge(&KeyLog::new());
+        assert_eq!(a.len(), 3);
     }
 
     #[test]

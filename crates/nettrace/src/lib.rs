@@ -47,13 +47,11 @@ pub mod tcp;
 pub mod tls;
 
 pub use capture::{
-    decode_auto, decode_auto_salvage, decode_auto_salvage_ctl, decode_pcap, decode_pcap_salvage,
-    decode_pcap_salvage_ctl, CaptureOptions, CaptureSession, DecodedTrace,
+    decode_auto_salvage, decode_auto_salvage_ctl, CaptureOptions, CaptureSession, DecodedTrace,
 };
 pub use fault::{FaultOp, FaultSpec};
 pub use har::{
-    har_from_exchanges, har_to_exchanges, har_to_exchanges_salvage, har_to_exchanges_salvage_ctl,
-    HarError,
+    har_from_exchanges, har_to_exchanges_salvage, har_to_exchanges_salvage_ctl, HarError,
 };
 pub use http::{Exchange, HeaderMap, HttpRequest, HttpResponse, Method};
 pub use keylog::KeyLog;

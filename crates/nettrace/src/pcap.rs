@@ -23,17 +23,14 @@ pub enum PcapError {
     BadMagic(u32),
     /// Unsupported version.
     BadVersion(u16, u16),
-    /// A packet record was cut short.
-    TruncatedPacket {
-        /// Index of the bad record.
-        index: usize,
-    },
-    /// A record claimed more captured bytes than the snaplen allows.
-    OversizedPacket {
-        /// Index of the bad record.
-        index: usize,
-        /// Claimed capture length.
-        incl_len: u32,
+    /// A packet record was damaged (cut short, or claiming more bytes than
+    /// the snaplen allows). Only raised where a damaged record must not be
+    /// skipped, as in [`crate::pcapng::inject_secrets`].
+    DamagedRecord {
+        /// Byte offset of the bad record.
+        offset: u64,
+        /// What was wrong with it (the salvage reader's drop reason).
+        reason: String,
     },
 }
 
@@ -45,11 +42,8 @@ impl std::fmt::Display for PcapError {
             PcapError::BadVersion(major, minor) => {
                 write!(f, "unsupported pcap version {major}.{minor}")
             }
-            PcapError::TruncatedPacket { index } => {
-                write!(f, "truncated packet record at index {index}")
-            }
-            PcapError::OversizedPacket { index, incl_len } => {
-                write!(f, "packet {index} claims {incl_len} bytes > snaplen")
+            PcapError::DamagedRecord { offset, reason } => {
+                write!(f, "damaged packet record at offset {offset}: {reason}")
             }
         }
     }
@@ -148,79 +142,13 @@ pub struct PcapReader {
 }
 
 impl PcapReader {
-    /// Parse an entire capture file.
-    ///
-    /// All reads go through checked helpers, so truncation at any byte and
-    /// lying length fields surface as [`PcapError`] values, never panics.
-    pub fn parse(data: &[u8]) -> Result<PcapReader, PcapError> {
-        use diffaudit_util::bytes::{read_u16_be, read_u16_le, read_u32_be, read_u32_le, slice_at};
-
-        if data.len() < 24 {
-            return Err(PcapError::TruncatedHeader);
-        }
-        let magic = read_u32_le(data, 0).ok_or(PcapError::TruncatedHeader)?;
-        let swapped = match magic {
-            MAGIC_LE => false,
-            MAGIC_SWAPPED => true,
-            other => return Err(PcapError::BadMagic(other)),
-        };
-        let read_u16 = |offset: usize| -> Option<u16> {
-            if swapped {
-                read_u16_be(data, offset)
-            } else {
-                read_u16_le(data, offset)
-            }
-        };
-        let read_u32 = |offset: usize| -> Option<u32> {
-            if swapped {
-                read_u32_be(data, offset)
-            } else {
-                read_u32_le(data, offset)
-            }
-        };
-        let major = read_u16(4).ok_or(PcapError::TruncatedHeader)?;
-        let minor = read_u16(6).ok_or(PcapError::TruncatedHeader)?;
-        if major != 2 {
-            return Err(PcapError::BadVersion(major, minor));
-        }
-        let snaplen = read_u32(16).ok_or(PcapError::TruncatedHeader)?;
-        let link_type = read_u32(20).ok_or(PcapError::TruncatedHeader)?;
-        let mut packets = Vec::new();
-        let mut pos = 24usize;
-        let mut index = 0usize;
-        while pos < data.len() {
-            let truncated = PcapError::TruncatedPacket { index };
-            let ts_sec = read_u32(pos).ok_or(truncated.clone())?;
-            let ts_usec = read_u32(pos + 4).ok_or(truncated.clone())?;
-            let incl_len = read_u32(pos + 8).ok_or(truncated.clone())?;
-            let orig_len = read_u32(pos + 12).ok_or(truncated.clone())?;
-            if incl_len > snaplen {
-                return Err(PcapError::OversizedPacket { index, incl_len });
-            }
-            let start = pos + 16;
-            let payload = slice_at(data, start, incl_len as usize).ok_or(truncated)?;
-            packets.push(PcapPacket {
-                ts_sec,
-                ts_usec,
-                orig_len,
-                data: payload.to_vec(),
-            });
-            pos = start + incl_len as usize;
-            index += 1;
-        }
-        Ok(PcapReader {
-            link_type,
-            snaplen,
-            packets,
-        })
-    }
-
-    /// Salvage parse: per-record damage is skipped-and-recorded instead of
-    /// aborting. The reader resyncs by scanning forward for the next
+    /// Parse an entire capture file. Per-record damage is skipped and
+    /// recorded in `log` (stage `PcapRecord`, offset = byte offset) instead
+    /// of aborting: the reader resyncs by scanning forward for the next
     /// plausible record boundary (sane microsecond field, capture length
     /// within the snaplen, record fits in the file). Only an unusable
-    /// global header is still an error. On undamaged input this accepts
-    /// exactly what [`PcapReader::parse`] accepts, with a clean log.
+    /// global header is an error. Every read goes through checked helpers,
+    /// so truncation at any byte and lying length fields never panic.
     pub fn parse_salvage(
         data: &[u8],
         log: &mut crate::salvage::SalvageLog,
@@ -259,19 +187,19 @@ impl PcapReader {
         let snaplen = read_u32(16).ok_or(PcapError::TruncatedHeader)?;
         let link_type = read_u32(20).ok_or(PcapError::TruncatedHeader)?;
 
-        // Strict per-record read, identical to `parse`'s loop body.
-        let read_record = |pos: usize| -> Result<(PcapPacket, usize), PcapError> {
+        // One record at `pos`, or what is wrong with it.
+        let read_record = |pos: usize| -> Result<(PcapPacket, usize), String> {
             use diffaudit_util::bytes::slice_at;
-            let truncated = PcapError::TruncatedPacket { index: 0 };
-            let ts_sec = read_u32(pos).ok_or(truncated.clone())?;
-            let ts_usec = read_u32(pos + 4).ok_or(truncated.clone())?;
-            let incl_len = read_u32(pos + 8).ok_or(truncated.clone())?;
-            let orig_len = read_u32(pos + 12).ok_or(truncated.clone())?;
+            let truncated = || "truncated record".to_string();
+            let ts_sec = read_u32(pos).ok_or_else(truncated)?;
+            let ts_usec = read_u32(pos + 4).ok_or_else(truncated)?;
+            let incl_len = read_u32(pos + 8).ok_or_else(truncated)?;
+            let orig_len = read_u32(pos + 12).ok_or_else(truncated)?;
             if incl_len > snaplen {
-                return Err(PcapError::OversizedPacket { index: 0, incl_len });
+                return Err(format!("record claims {incl_len} bytes > snaplen"));
             }
             let start = pos + 16;
-            let payload = slice_at(data, start, incl_len as usize).ok_or(truncated)?;
+            let payload = slice_at(data, start, incl_len as usize).ok_or_else(truncated)?;
             Ok((
                 PcapPacket {
                     ts_sec,
@@ -309,34 +237,20 @@ impl PcapReader {
                     log.ok(Stage::PcapRecord);
                     pos = next;
                 }
-                Err(e) => {
-                    let what = match &e {
-                        PcapError::OversizedPacket { incl_len, .. } => {
-                            format!("record claims {incl_len} bytes > snaplen")
-                        }
-                        _ => "truncated record".to_string(),
-                    };
+                Err(what) => {
                     let resync = (pos + 1..data.len().saturating_sub(16)).find(|&p| plausible(p));
+                    let outcome = match resync {
+                        Some(next) => format!("resynced after {} bytes", next - pos),
+                        None => format!("{} trailing bytes unrecoverable", data.len() - pos),
+                    };
+                    log.dropped(
+                        Stage::PcapRecord,
+                        format!("{what}; {outcome}"),
+                        Some(pos as u64),
+                    );
                     match resync {
-                        Some(next) => {
-                            log.dropped(
-                                Stage::PcapRecord,
-                                format!("{what}; resynced after {} bytes", next - pos),
-                                Some(pos as u64),
-                            );
-                            pos = next;
-                        }
-                        None => {
-                            log.dropped(
-                                Stage::PcapRecord,
-                                format!(
-                                    "{what}; {} trailing bytes unrecoverable",
-                                    data.len() - pos
-                                ),
-                                Some(pos as u64),
-                            );
-                            break;
-                        }
+                        Some(next) => pos = next,
+                        None => break,
                     }
                 }
             }
@@ -352,6 +266,25 @@ impl PcapReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::salvage::{SalvageLog, Stage};
+
+    /// Parse, asserting the salvage log stayed clean (what `--strict`
+    /// accepts).
+    fn parse_clean(bytes: &[u8]) -> PcapReader {
+        let mut log = SalvageLog::new();
+        let reader = PcapReader::parse_salvage(bytes, &mut log).unwrap();
+        assert!(log.is_clean(), "{:?}", log.drops());
+        reader
+    }
+
+    /// The drop tally a damaged parse left behind (header errors count as
+    /// no records at all).
+    fn record_drops(bytes: &[u8]) -> u64 {
+        let mut log = SalvageLog::new();
+        let _ = PcapReader::parse_salvage(bytes, &mut log);
+        assert!(log.conserved());
+        log.stage(Stage::PcapRecord).dropped
+    }
 
     #[test]
     fn write_read_round_trip() {
@@ -360,7 +293,7 @@ mod tests {
         w.write_packet(1_700_000_000_456, b"frame-two-longer");
         assert_eq!(w.packet_count(), 2);
         let bytes = w.finish();
-        let r = PcapReader::parse(&bytes).unwrap();
+        let r = parse_clean(&bytes);
         assert_eq!(r.link_type, LINKTYPE_ETHERNET);
         assert_eq!(r.packets.len(), 2);
         assert_eq!(r.packets[0].data, b"frame-one");
@@ -385,7 +318,7 @@ mod tests {
         buf.extend_from_slice(&3u32.to_be_bytes()); // incl
         buf.extend_from_slice(&3u32.to_be_bytes()); // orig
         buf.extend_from_slice(b"abc");
-        let r = PcapReader::parse(&buf).unwrap();
+        let r = parse_clean(&buf);
         assert_eq!(r.packets.len(), 1);
         assert_eq!(r.packets[0].ts_sec, 100);
         assert_eq!(r.packets[0].data, b"abc");
@@ -396,7 +329,7 @@ mod tests {
         let mut bytes = PcapWriter::new().finish();
         bytes[0] = 0xFF;
         assert!(matches!(
-            PcapReader::parse(&bytes),
+            PcapReader::parse_salvage(&bytes, &mut SalvageLog::new()),
             Err(PcapError::BadMagic(_))
         ));
     }
@@ -404,43 +337,42 @@ mod tests {
     #[test]
     fn rejects_truncations() {
         assert!(matches!(
-            PcapReader::parse(&[0u8; 10]),
+            PcapReader::parse_salvage(&[0u8; 10], &mut SalvageLog::new()),
             Err(PcapError::TruncatedHeader)
         ));
         let mut w = PcapWriter::new();
         w.write_packet(0, b"abcdef");
         let bytes = w.finish();
-        assert!(matches!(
-            PcapReader::parse(&bytes[..bytes.len() - 2]),
-            Err(PcapError::TruncatedPacket { index: 0 })
-        ));
+        // A record cut short is dropped, not returned.
+        assert_eq!(record_drops(&bytes[..bytes.len() - 2]), 1);
         // Record header cut mid-way.
-        assert!(matches!(
-            PcapReader::parse(&bytes[..30]),
-            Err(PcapError::TruncatedPacket { index: 0 })
-        ));
+        assert_eq!(record_drops(&bytes[..30]), 1);
+        assert_eq!(record_drops(&bytes), 0);
     }
 
     #[test]
     fn empty_capture_is_valid() {
         let bytes = PcapWriter::new().finish();
-        let r = PcapReader::parse(&bytes).unwrap();
+        let r = parse_clean(&bytes);
         assert!(r.packets.is_empty());
     }
 
     #[test]
     fn salvage_matches_strict_on_clean_input() {
+        // On undamaged input every record is read back exactly as written
+        // and the log is clean, so `--strict` accepts it.
         let mut w = PcapWriter::new();
-        for i in 0..5u64 {
-            w.write_packet(1_700_000_000_000 + i, format!("frame-{i}").as_bytes());
+        let frames: Vec<Vec<u8>> = (0..5).map(|i| format!("frame-{i}").into_bytes()).collect();
+        for (i, frame) in frames.iter().enumerate() {
+            w.write_packet(1_700_000_000_000 + i as u64, frame);
         }
         let bytes = w.finish();
-        let strict = PcapReader::parse(&bytes).unwrap();
-        let mut log = crate::salvage::SalvageLog::new();
+        let mut log = SalvageLog::new();
         let salvaged = PcapReader::parse_salvage(&bytes, &mut log).unwrap();
-        assert_eq!(strict.packets, salvaged.packets);
+        let data: Vec<Vec<u8>> = salvaged.packets.into_iter().map(|p| p.data).collect();
+        assert_eq!(data, frames);
         assert!(log.is_clean());
-        assert_eq!(log.stage(crate::salvage::Stage::PcapRecord).processed, 5);
+        assert_eq!(log.stage(Stage::PcapRecord).processed, 5);
     }
 
     #[test]
@@ -452,16 +384,16 @@ mod tests {
         let mut bytes = w.finish();
         // Overwrite record 0's incl_len with an oversized lie.
         bytes[24 + 8..24 + 12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(PcapReader::parse(&bytes).is_err());
-        let mut log = crate::salvage::SalvageLog::new();
+        let mut log = SalvageLog::new();
         let r = PcapReader::parse_salvage(&bytes, &mut log).unwrap();
         // Records 1 and 2 recovered; record 0 dropped with its offset.
         assert_eq!(r.packets.len(), 2);
         assert_eq!(r.packets[0].data, b"second-frame");
         assert!(log.conserved());
-        let counts = log.stage(crate::salvage::Stage::PcapRecord);
+        let counts = log.stage(Stage::PcapRecord);
         assert_eq!((counts.processed, counts.dropped), (2, 1));
         assert_eq!(log.drops()[0].offset, Some(24));
+        assert!(log.drops()[0].reason.contains("> snaplen"));
     }
 
     #[test]
@@ -470,24 +402,30 @@ mod tests {
         w.write_packet(1_700_000_000_000, b"kept-frame");
         w.write_packet(1_700_000_000_001, b"lost-frame");
         let bytes = w.finish();
-        let mut log = crate::salvage::SalvageLog::new();
+        let mut log = SalvageLog::new();
         let r = PcapReader::parse_salvage(&bytes[..bytes.len() - 4], &mut log).unwrap();
         assert_eq!(r.packets.len(), 1);
-        assert_eq!(log.stage(crate::salvage::Stage::PcapRecord).dropped, 1);
+        assert_eq!(log.stage(Stage::PcapRecord).dropped, 1);
         assert!(log.drops()[0].reason.contains("unrecoverable"));
     }
 
     #[test]
     fn salvage_still_rejects_unusable_header() {
         assert!(matches!(
-            PcapReader::parse_salvage(&[0u8; 10], &mut crate::salvage::SalvageLog::new()),
+            PcapReader::parse_salvage(&[0u8; 10], &mut SalvageLog::new()),
             Err(PcapError::TruncatedHeader)
         ));
         let mut bytes = PcapWriter::new().finish();
         bytes[0] = 0xFF;
         assert!(matches!(
-            PcapReader::parse_salvage(&bytes, &mut crate::salvage::SalvageLog::new()),
+            PcapReader::parse_salvage(&bytes, &mut SalvageLog::new()),
             Err(PcapError::BadMagic(_))
+        ));
+        bytes[0] = 0xD4;
+        bytes[4] = 3; // version 3.x
+        assert!(matches!(
+            PcapReader::parse_salvage(&bytes, &mut SalvageLog::new()),
+            Err(PcapError::BadVersion(3, 4))
         ));
     }
 }

@@ -3,7 +3,8 @@
 //! Companion to `diffaudit-analyzer`'s `no-panic` pass: the static gate
 //! proves the parsers *textually* avoid panicking constructs; this suite
 //! drives them with truncated, bit-flipped, and length-lying buffers and
-//! asserts every outcome is a typed `Err` (or a clean parse), never a panic.
+//! asserts every outcome is a typed `Err`, a clean parse, or a conserved
+//! salvage log that reports the damage — never a panic.
 //! Any panic aborts the test process, so merely running to completion is the
 //! property under test.
 
@@ -13,7 +14,7 @@ use diffaudit_nettrace::pcap::{PcapReader, PcapWriter};
 use diffaudit_nettrace::pcapng::{inject_secrets, PcapngReader, PcapngWriter};
 use diffaudit_nettrace::tls::{parse_records, ClientHello};
 use diffaudit_nettrace::{
-    har_from_exchanges, har_to_exchanges, har_to_exchanges_salvage, Exchange, HttpRequest,
+    decode_auto_salvage, har_from_exchanges, har_to_exchanges_salvage, Exchange, HttpRequest,
     HttpResponse, KeyLog, SalvageLog,
 };
 
@@ -67,17 +68,45 @@ fn bitflip_sweep<T, E>(data: &[u8], parse: impl Fn(&[u8]) -> Result<T, E>) {
     }
 }
 
+/// `true` when the damage was reported: a header error, or a salvage log
+/// with at least one drop (what `--strict` rejects).
+fn damage_reported<T, E>(
+    data: &[u8],
+    parse: &impl Fn(&[u8], &mut SalvageLog) -> Result<T, E>,
+) -> bool {
+    let mut log = SalvageLog::new();
+    let parsed = parse(data, &mut log);
+    assert!(log.conserved());
+    parsed.is_err() || !log.is_clean()
+}
+
+/// Every prefix of `data` is reported except those ending exactly on one
+/// of the record `boundaries`, which parse clean.
+fn truncations_reported_off_boundaries<T, E>(
+    data: &[u8],
+    boundaries: &[usize],
+    parse: impl Fn(&[u8], &mut SalvageLog) -> Result<T, E>,
+) {
+    for cut in 0..=data.len() {
+        let reported = damage_reported(&data[..cut], &parse);
+        assert_eq!(reported, !boundaries.contains(&cut), "cut {cut}");
+    }
+}
+
 #[test]
 fn pcap_truncation_never_panics() {
+    // Records end after the 24-byte header, then 16-byte record headers
+    // plus 17 and 32 frame bytes.
     let data = sample_pcap();
-    truncation_sweep(&data, PcapReader::parse);
-    // Every strict prefix shorter than a full file must be an error.
-    assert!(PcapReader::parse(&data[..data.len() - 1]).is_err());
+    truncations_reported_off_boundaries(&data, &[24, 57, 105], PcapReader::parse_salvage);
 }
 
 #[test]
 fn pcap_bitflips_never_panic() {
-    bitflip_sweep(&sample_pcap(), PcapReader::parse);
+    // Through the whole decode stack: framing, then frame decoding.
+    salvage_bitflip_sweep(&sample_pcap(), |bytes, log| {
+        decode_auto_salvage(bytes, &KeyLog::new(), log)
+    });
 }
 
 #[test]
@@ -85,36 +114,50 @@ fn pcap_lying_length_fields_are_errors() {
     let mut data = sample_pcap();
     // First record's incl_len lives at offset 24 + 8. Claim u32::MAX bytes.
     data[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(PcapReader::parse(&data).is_err());
+    assert!(damage_reported(&data, &PcapReader::parse_salvage));
     // Claim slightly more than is present.
     let mut data = sample_pcap();
     let lie = (data.len() as u32) + 1;
     data[32..36].copy_from_slice(&lie.to_le_bytes());
-    assert!(PcapReader::parse(&data).is_err());
+    assert!(damage_reported(&data, &PcapReader::parse_salvage));
 }
 
 #[test]
 fn pcapng_truncation_never_panics() {
     let data = sample_pcapng();
-    truncation_sweep(&data, PcapngReader::parse);
+    // Walk each block's total-length field to find where blocks end.
+    let mut boundaries = Vec::new();
+    let mut pos = 0;
+    while pos < data.len() {
+        pos += u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap()) as usize;
+        boundaries.push(pos);
+    }
+    truncations_reported_off_boundaries(&data, &boundaries, PcapngReader::parse_salvage);
 }
 
 #[test]
 fn pcapng_bitflips_never_panic() {
-    bitflip_sweep(&sample_pcapng(), PcapngReader::parse);
+    // Through the whole decode stack: blocks, DSB secrets merged with the
+    // external key log, then frame decoding.
+    salvage_bitflip_sweep(&sample_pcapng(), |bytes, log| {
+        decode_auto_salvage(bytes, &KeyLog::new(), log)
+    });
 }
 
 #[test]
 fn pcapng_lying_block_lengths_are_errors() {
-    // Block total length at offset 4 (SHB). Oversized claim → error.
+    // Block total length at offset 4 (SHB). Oversized claim → reported.
     let mut data = sample_pcapng();
     data[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(PcapngReader::parse(&data).is_err());
-    // Impossible (sub-minimum, unaligned) claims → error.
+    assert!(damage_reported(&data, &PcapngReader::parse_salvage));
+    // Impossible (sub-minimum, unaligned) claims → reported.
     for bad in [0u32, 4, 11, 13] {
         let mut data = sample_pcapng();
         data[4..8].copy_from_slice(&bad.to_le_bytes());
-        assert!(PcapngReader::parse(&data).is_err(), "total={bad}");
+        assert!(
+            damage_reported(&data, &PcapngReader::parse_salvage),
+            "total={bad}"
+        );
     }
 }
 
@@ -196,13 +239,11 @@ fn har_truncation_never_panics() {
     let bytes = text.as_bytes();
     for cut in 0..bytes.len() {
         let lossy = String::from_utf8_lossy(&bytes[..cut]);
-        let _ = har_to_exchanges(&lossy);
         let mut log = SalvageLog::new();
-        let _ = har_to_exchanges_salvage(&lossy, &mut log);
+        // Every strict prefix is a document-level error.
+        assert!(har_to_exchanges_salvage(&lossy, &mut log).is_err());
         assert!(log.conserved());
     }
-    // Every strict prefix is a document-level error.
-    assert!(har_to_exchanges(&text[..text.len() - 1]).is_err());
 }
 
 #[test]
@@ -212,7 +253,6 @@ fn har_bitflips_never_panic() {
     for i in 0..buf.len() {
         buf[i] ^= 0xFF;
         let lossy = String::from_utf8_lossy(&buf);
-        let _ = har_to_exchanges(&lossy);
         let mut log = SalvageLog::new();
         let _ = har_to_exchanges_salvage(&lossy, &mut log);
         assert!(log.conserved());
@@ -268,8 +308,15 @@ fn pcapng_salvage_sweeps_never_panic_and_conserve() {
 fn editcap_injection_rejects_corrupt_pcap() {
     let log = KeyLog::new();
     let data = sample_pcap();
-    for cut in 0..data.len().min(64) {
-        let _ = inject_secrets(&data[..cut], &log);
+    for cut in 0..data.len() {
+        // Only prefixes ending on a record boundary are whole captures.
+        let whole = [24, 57].contains(&cut);
+        assert_eq!(
+            inject_secrets(&data[..cut], &log).is_ok(),
+            whole,
+            "cut {cut}"
+        );
     }
+    assert!(inject_secrets(&data, &log).is_ok());
     assert!(inject_secrets(b"not a pcap at all", &log).is_err());
 }

@@ -12,7 +12,9 @@ use diffaudit_nettrace::packet::{TcpFlags, TcpSegment};
 use diffaudit_nettrace::pcap::{PcapPacket, PcapReader, PcapWriter};
 use diffaudit_nettrace::tcp::FlowTable;
 use diffaudit_nettrace::tls::{decode_client_stream, parse_records, TlsSession};
-use diffaudit_nettrace::{har_from_exchanges, har_to_exchanges, Exchange, KeyLog};
+use diffaudit_nettrace::{
+    har_from_exchanges, har_to_exchanges_salvage, Exchange, KeyLog, SalvageLog,
+};
 use diffaudit_util::Rng;
 use proptest::prelude::*;
 
@@ -27,7 +29,9 @@ proptest! {
             writer.write_packet(*sec as u64 * 1000 + (*usec_ms % 1000) as u64, data);
         }
         let bytes = writer.finish();
-        let reader = PcapReader::parse(&bytes).unwrap();
+        let mut log = SalvageLog::new();
+        let reader = PcapReader::parse_salvage(&bytes, &mut log).unwrap();
+        prop_assert!(log.is_clean());
         prop_assert_eq!(reader.packets.len(), packets.len());
         for (parsed, (_, _, data)) in reader.packets.iter().zip(&packets) {
             prop_assert_eq!(&parsed.data, data);
@@ -36,7 +40,9 @@ proptest! {
 
     #[test]
     fn pcap_parser_never_panics(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = PcapReader::parse(&data);
+        let mut log = SalvageLog::new();
+        let _ = PcapReader::parse_salvage(&data, &mut log);
+        prop_assert!(log.conserved());
     }
 
     #[test]
@@ -167,7 +173,9 @@ proptest! {
             })
             .collect();
         let har = har_from_exchanges(&exchanges).to_string();
-        let back = har_to_exchanges(&har).unwrap();
+        let mut log = SalvageLog::new();
+        let back = har_to_exchanges_salvage(&har, &mut log).unwrap();
+        prop_assert!(log.is_clean());
         prop_assert_eq!(back.len(), exchanges.len());
         for (b, e) in back.iter().zip(&exchanges) {
             prop_assert_eq!(&b.request.body, &e.request.body);
@@ -181,7 +189,7 @@ proptest! {
         for (cr, secret) in &entries {
             log.insert(*cr, *secret);
         }
-        let parsed = KeyLog::parse(&log.to_file_string());
+        let parsed = KeyLog::parse_salvage(&log.to_file_string(), &mut SalvageLog::new());
         for (cr, secret) in &entries {
             prop_assert_eq!(parsed.secret_for(cr), Some(secret));
         }
@@ -211,7 +219,7 @@ fn pcap_timestamp_precision() {
     for ms in [0u64, 1, 999, 1000, 1_696_516_200_123] {
         writer.write_packet(ms, b"x");
     }
-    let reader = PcapReader::parse(&writer.finish()).unwrap();
+    let reader = PcapReader::parse_salvage(&writer.finish(), &mut SalvageLog::new()).unwrap();
     let round: Vec<u64> = reader
         .packets
         .iter()

@@ -57,9 +57,8 @@
 //!     committed baseline; `--fail-rss-over PCT` gates peak-RSS growth the
 //!     same way (4MiB noise floor). The wall-time noise floor is
 //!     milliseconds (`--noise-floor-ms`, default 20ms, the same unit
-//!     `serve_load --mode diff` uses; `--noise-floor-us` remains as a
-//!     microsecond alias). Exit codes: 0 = ok, 2 = regressed, 1 = unusable
-//!     input or bad usage.
+//!     `serve_load --mode diff` uses). Exit codes: 0 = ok, 2 = regressed,
+//!     1 = unusable input or bad usage.
 //!
 //! diffaudit obs top URL [--once] [--interval-ms N]
 //!     Poll a running daemon's `GET /metrics` exposition endpoint and
@@ -104,6 +103,7 @@ use diffaudit_nettrace::salvage::Stage;
 use diffaudit_obs as obs;
 use diffaudit_serve::{ServeConfig, Server};
 use diffaudit_services::{generate_dataset_threads, service_by_slug, DatasetOptions};
+use diffaudit_util::cancel::Ctl;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -531,7 +531,14 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
     if let Some(dir) = &cache_dir {
         pipeline = pipeline.with_cache_dir(dir.clone());
     }
-    let outcome = pipeline.run_inputs(inputs);
+    let outcome = match pipeline.run_inputs_scoped(inputs, &obs::Scope::global(), &Ctl::unbounded())
+    {
+        Ok(outcome) => outcome,
+        Err(interrupt) => {
+            obs::error(&interrupt.to_string(), &[]);
+            return ExitCode::FAILURE;
+        }
+    };
 
     // Cache salvage (damaged log records skipped on open) degrades the run
     // the same way damaged input does: account it in the ledger, mirror the
@@ -1027,8 +1034,8 @@ fn cmd_obs_report(args: &[String]) -> ExitCode {
 
 /// `obs diff BASELINE.json CURRENT.json [--fail-over PCT]
 /// [--fail-rss-over PCT] [--noise-floor-ms N]` — metrics comparison with a
-/// gated verdict. `--noise-floor-us` is kept as an alias of the canonical
-/// millisecond spelling (`serve_load --mode diff` uses the same unit).
+/// gated verdict. The noise floor is in milliseconds, the unit
+/// `serve_load --mode diff` uses too.
 ///
 /// Exit contract: 0 = ok, 2 = regressed (report still printed),
 /// 1 = unusable input or bad usage.
@@ -1048,10 +1055,6 @@ fn cmd_obs_diff(args: &[String]) -> ExitCode {
             },
             "--noise-floor-ms" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(ms) => options.noise_floor_us = ms.saturating_mul(1000),
-                None => return usage(),
-            },
-            "--noise-floor-us" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(us) => options.noise_floor_us = us,
                 None => return usage(),
             },
             other if !other.starts_with('-') => paths.push(PathBuf::from(other)),

@@ -46,9 +46,9 @@ pub enum ChaosMode {
 }
 
 /// Everything a worker needs to execute one job.
-pub struct JobRequest {
+pub struct JobRequest<'a> {
     /// The uploaded service (traces already resolved to memory units).
-    pub service: MemoryService,
+    pub service: MemoryService<'a>,
     /// Degradation tolerance.
     pub policy: SalvagePolicy,
     /// Ensemble seed (the CLI's `--ensemble`).
@@ -165,7 +165,7 @@ fn finish(scope: Scope, mut completion: JobCompletion) -> JobOutput {
 /// The caller is expected to wrap this in `catch_unwind` — a panic
 /// anywhere in here (including re-raised pipeline worker panics) is the
 /// job's failure, not the daemon's.
-pub fn run_job(request: JobRequest, token: CancelToken, threads: usize) -> JobOutput {
+pub fn run_job(request: JobRequest<'_>, token: CancelToken, threads: usize) -> JobOutput {
     let ctl = build_ctl(&token, request.deadline, request.chaos);
     let scope = Scope::job("serve.job");
     if request.chaos == Some(ChaosMode::Panic) {
@@ -287,52 +287,21 @@ pub fn run_job(request: JobRequest, token: CancelToken, threads: usize) -> JobOu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffaudit::loader::{MemoryArtifact, MemoryUnit};
-    use diffaudit_services::{generate_dataset, DatasetOptions};
+    use diffaudit_services::{generate_dataset, DatasetOptions, GeneratedDataset};
 
-    fn small_service() -> MemoryService {
-        let dataset = generate_dataset(&DatasetOptions {
+    fn small_dataset() -> GeneratedDataset {
+        generate_dataset(&DatasetOptions {
             seed: 21,
             volume_scale: 0.02,
             mobile_pinned_fraction: 0.0,
             services: vec!["duolingo".into()],
-        });
-        let capture = &dataset.services[0];
-        let units = capture
-            .artifacts
-            .iter()
-            .enumerate()
-            .map(|(i, artifact)| MemoryUnit {
-                label: format!("unit-{i}"),
-                platform: artifact.platform,
-                kind: artifact.kind,
-                category: artifact.category,
-                artifact: match (&artifact.har, &artifact.pcap) {
-                    (Some(har), _) => MemoryArtifact::Har(har.clone()),
-                    (None, Some(pcap)) => MemoryArtifact::Capture {
-                        bytes: pcap.clone(),
-                        keylog: artifact.keylog.clone(),
-                    },
-                    (None, None) => MemoryArtifact::Har(String::new()),
-                },
-            })
-            .collect();
-        MemoryService {
-            name: capture.spec.name.to_string(),
-            slug: capture.spec.slug.to_string(),
-            first_party_domains: capture
-                .spec
-                .first_party_domains
-                .iter()
-                .map(|d| d.to_string())
-                .collect(),
-            units,
-        }
+        })
     }
 
-    fn request(service: MemoryService) -> JobRequest {
+    /// A job over the dataset's one service, uploaded as-is.
+    fn request(dataset: &GeneratedDataset) -> JobRequest<'_> {
         JobRequest {
-            service,
+            service: MemoryService::from_capture(&dataset.services[0]),
             policy: SalvagePolicy::default(),
             seed: 2023,
             threshold: 0.8,
@@ -344,7 +313,8 @@ mod tests {
 
     #[test]
     fn clean_job_reports_clean_with_private_metrics() {
-        let output = run_job(request(small_service()), CancelToken::new(), 2);
+        let dataset = small_dataset();
+        let output = run_job(request(&dataset), CancelToken::new(), 2);
         assert_eq!(output.completion.phase, JobPhase::Done(RunStatus::Clean));
         assert_eq!(output.completion.phase.exit_style(), Some(0));
         assert!(output.completion.result_json.contains("services"));
@@ -356,7 +326,8 @@ mod tests {
 
     #[test]
     fn expired_deadline_salvages_or_times_out_but_returns() {
-        let mut req = request(small_service());
+        let dataset = small_dataset();
+        let mut req = request(&dataset);
         req.deadline = Duration::ZERO;
         let output = run_job(req, CancelToken::new(), 2);
         // Every unit dropped at load → policy says salvaged.
@@ -378,7 +349,8 @@ mod tests {
     fn pre_cancelled_token_cancels_the_job() {
         let token = CancelToken::new();
         token.cancel();
-        let output = run_job(request(small_service()), token, 1);
+        let dataset = small_dataset();
+        let output = run_job(request(&dataset), token, 1);
         // Dropped-at-load units carry cancelled reasons → salvage verdict.
         assert_eq!(output.completion.phase, JobPhase::Done(RunStatus::Salvaged));
         assert!(output
@@ -390,7 +362,8 @@ mod tests {
 
     #[test]
     fn strict_policy_turns_timeout_drops_into_hard_failure() {
-        let mut req = request(small_service());
+        let dataset = small_dataset();
+        let mut req = request(&dataset);
         req.deadline = Duration::ZERO;
         req.policy.strict = true;
         let output = run_job(req, CancelToken::new(), 1);

@@ -51,11 +51,12 @@ use crate::job::{JobCompletion, JobPhase, JobRecord, JobTable, JobView};
 use crate::names;
 use crate::queue::{BoundedQueue, PushError};
 use crate::runner::{self, ChaosMode, JobRequest};
-use diffaudit::loader::{MemoryArtifact, MemoryService, MemoryUnit};
+use diffaudit::loader::{
+    parse_category, parse_kind, parse_platform, MemoryArtifact, MemoryService, MemoryUnit,
+};
 use diffaudit::salvage::SalvagePolicy;
 use diffaudit_json::{parse, Json};
 use diffaudit_obs as obs;
-use diffaudit_services::{Platform, TraceCategory, TraceKind};
 use diffaudit_util::cancel::CancelToken;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -67,25 +68,16 @@ use std::time::{Duration, Instant};
 /// wedge the accept loop.
 const CONN_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// An uploaded artifact waiting to be referenced by jobs.
-#[derive(Clone)]
-struct StoredTrace {
-    label: String,
-    platform: Platform,
-    kind: TraceKind,
-    category: TraceCategory,
-    artifact: MemoryArtifact,
-}
-
 struct QueuedJob {
     id: String,
-    request: JobRequest,
+    request: JobRequest<'static>,
 }
 
 /// State shared between the accept loop and the workers.
 struct Shared {
     config: ServeConfig,
-    traces: Mutex<HashMap<String, StoredTrace>>,
+    /// Uploaded artifacts waiting to be referenced by jobs.
+    traces: Mutex<HashMap<String, MemoryUnit<'static>>>,
     jobs: JobTable,
     queue: BoundedQueue<QueuedJob>,
     draining: AtomicBool,
@@ -94,7 +86,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn traces(&self) -> MutexGuard<'_, HashMap<String, StoredTrace>> {
+    fn traces(&self) -> MutexGuard<'_, HashMap<String, MemoryUnit<'static>>> {
         match self.traces.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
@@ -392,37 +384,9 @@ fn health(shared: &Arc<Shared>) -> Response {
     Response::json(200, doc.to_pretty_string())
 }
 
-fn parse_platform(s: &str) -> Option<Platform> {
-    match s.to_ascii_lowercase().as_str() {
-        "web" => Some(Platform::Web),
-        "mobile" => Some(Platform::Mobile),
-        "desktop" => Some(Platform::Desktop),
-        _ => None,
-    }
-}
-
-fn parse_kind(s: &str) -> Option<TraceKind> {
-    match s.to_ascii_lowercase().as_str() {
-        "account-creation" | "account_creation" => Some(TraceKind::AccountCreation),
-        "logged-in" | "logged_in" => Some(TraceKind::LoggedIn),
-        "logged-out" | "logged_out" => Some(TraceKind::LoggedOut),
-        _ => None,
-    }
-}
-
-fn parse_category(s: &str) -> Option<TraceCategory> {
-    match s.to_ascii_lowercase().as_str() {
-        "child" => Some(TraceCategory::Child),
-        "adolescent" => Some(TraceCategory::Adolescent),
-        "adult" => Some(TraceCategory::Adult),
-        "logged-out" | "logged_out" => Some(TraceCategory::LoggedOut),
-        _ => None,
-    }
-}
-
 /// Classify an upload body by magic bytes: pcap (either byte order),
 /// pcapng SHB, otherwise HAR text (which must be UTF-8).
-fn sniff_artifact(body: &[u8]) -> Result<(MemoryArtifact, &'static str), Response> {
+fn sniff_artifact(body: &[u8]) -> Result<(MemoryArtifact<'static>, &'static str), Response> {
     const PCAP_LE: [u8; 4] = [0xd4, 0xc3, 0xb2, 0xa1];
     const PCAP_BE: [u8; 4] = [0xa1, 0xb2, 0xc3, 0xd4];
     const PCAPNG_SHB: [u8; 4] = [0x0a, 0x0d, 0x0d, 0x0a];
@@ -431,7 +395,7 @@ fn sniff_artifact(body: &[u8]) -> Result<(MemoryArtifact, &'static str), Respons
         if magic == PCAP_LE || magic == PCAP_BE || magic == PCAPNG_SHB {
             return Ok((
                 MemoryArtifact::Capture {
-                    bytes: body.to_vec(),
+                    bytes: body.to_vec().into(),
                     keylog: None,
                 },
                 "capture",
@@ -439,7 +403,7 @@ fn sniff_artifact(body: &[u8]) -> Result<(MemoryArtifact, &'static str), Respons
         }
     }
     match std::str::from_utf8(body) {
-        Ok(text) => Ok((MemoryArtifact::Har(text.to_string()), "har")),
+        Ok(text) => Ok((MemoryArtifact::Har(text.to_string().into()), "har")),
         Err(_) => Err(Response::error(
             400,
             "body is neither a capture (pcap/pcapng magic) nor UTF-8 HAR text",
@@ -457,11 +421,14 @@ fn upload_trace(shared: &Arc<Shared>, request: &Request) -> Response {
     let Some(platform) = request
         .query_param("platform")
         .as_deref()
-        .and_then(parse_platform)
+        .and_then(|s| parse_platform(s).ok())
     else {
         return Response::error(400, "platform query param must be web|mobile|desktop");
     };
-    let Some(kind) = request.query_param("kind").as_deref().and_then(parse_kind) else {
+    let Some(kind) = request
+        .query_param("kind")
+        .and_then(|s| parse_kind(&s).ok())
+    else {
         return Response::error(
             400,
             "kind query param must be account-creation|logged-in|logged-out",
@@ -470,7 +437,7 @@ fn upload_trace(shared: &Arc<Shared>, request: &Request) -> Response {
     let Some(category) = request
         .query_param("category")
         .as_deref()
-        .and_then(parse_category)
+        .and_then(|s| parse_category(s).ok())
     else {
         return Response::error(
             400,
@@ -486,7 +453,7 @@ fn upload_trace(shared: &Arc<Shared>, request: &Request) -> Response {
     let bytes = request.body.len();
     shared.traces().insert(
         id.clone(),
-        StoredTrace {
+        MemoryUnit {
             label,
             platform,
             kind,
@@ -513,7 +480,7 @@ fn attach_keylog(shared: &Arc<Shared>, id: &str, request: &Request) -> Response 
     };
     match &mut trace.artifact {
         MemoryArtifact::Capture { keylog, .. } => {
-            *keylog = Some(text);
+            *keylog = Some(text.into());
             Response::json(
                 200,
                 Json::obj().with("attached", Json::Bool(true)).to_string(),
@@ -573,13 +540,7 @@ fn submit_job(shared: &Arc<Shared>, request: &Request) -> Response {
             let Some(stored) = traces.get(id) else {
                 return Response::error(400, &format!("unknown trace id {id:?}"));
             };
-            units.push(MemoryUnit {
-                label: stored.label.clone(),
-                platform: stored.platform,
-                kind: stored.kind,
-                category: stored.category,
-                artifact: stored.artifact.clone(),
-            });
+            units.push(stored.clone());
         }
     }
     if units.is_empty() {

@@ -379,15 +379,18 @@ mod tests {
 
     #[test]
     fn mobile_artifacts_decode() {
-        use diffaudit_nettrace::{decode_pcap, KeyLog};
+        use diffaudit_nettrace::{decode_auto_salvage, KeyLog, SalvageLog};
         let ds = generate_dataset(&tiny_options());
         let mobile = ds.services[0]
             .artifacts
             .iter()
             .find(|a| a.platform == Platform::Mobile)
             .unwrap();
-        let keylog = KeyLog::parse(mobile.keylog.as_ref().unwrap());
-        let decoded = decode_pcap(mobile.pcap.as_ref().unwrap(), &keylog).unwrap();
+        let mut log = SalvageLog::new();
+        let keylog = KeyLog::parse_salvage(mobile.keylog.as_ref().unwrap(), &mut log);
+        let decoded =
+            decode_auto_salvage(mobile.pcap.as_ref().unwrap(), &keylog, &mut log).unwrap();
+        assert!(log.is_clean(), "{:?}", log.drops());
         assert_eq!(decoded.flow_count, mobile.exchange_count);
         assert!(
             !decoded.exchanges.is_empty(),
@@ -397,14 +400,16 @@ mod tests {
 
     #[test]
     fn har_artifacts_parse() {
-        use diffaudit_nettrace::har_to_exchanges;
+        use diffaudit_nettrace::{har_to_exchanges_salvage, SalvageLog};
         let ds = generate_dataset(&tiny_options());
         let web = ds.services[0]
             .artifacts
             .iter()
             .find(|a| a.platform == Platform::Web)
             .unwrap();
-        let exchanges = har_to_exchanges(web.har.as_ref().unwrap()).unwrap();
+        let mut log = SalvageLog::new();
+        let exchanges = har_to_exchanges_salvage(web.har.as_ref().unwrap(), &mut log).unwrap();
+        assert!(log.is_clean(), "{:?}", log.drops());
         assert_eq!(exchanges.len(), web.exchange_count);
     }
 }

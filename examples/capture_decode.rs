@@ -13,7 +13,8 @@
 
 use diffaudit_domains::Url;
 use diffaudit_nettrace::{
-    decode_pcap, CaptureOptions, CaptureSession, Exchange, HttpRequest, HttpResponse, KeyLog,
+    decode_auto_salvage, CaptureOptions, CaptureSession, Exchange, HttpRequest, HttpResponse,
+    KeyLog, SalvageLog,
 };
 
 fn exchange(url: &str, body: &str) -> Exchange {
@@ -73,15 +74,18 @@ fn main() -> std::io::Result<()> {
     std::fs::write(&pcap_path, &pcap)?;
     std::fs::write(&keylog_path, &keylog_text)?;
     println!("wrote {} ({} bytes)", pcap_path.display(), pcap.len());
+    let pcap_back = std::fs::read(&pcap_path)?;
+    let mut log = SalvageLog::new();
+    let keylog_back = KeyLog::parse_salvage(&std::fs::read_to_string(&keylog_path)?, &mut log);
     println!(
         "wrote {} ({} sessions)",
         keylog_path.display(),
-        KeyLog::parse(&keylog_text).len()
+        keylog_back.len()
     );
-
-    let pcap_back = std::fs::read(&pcap_path)?;
-    let keylog_back = KeyLog::parse(&std::fs::read_to_string(&keylog_path)?);
-    let decoded = decode_pcap(&pcap_back, &keylog_back).expect("valid capture");
+    let decoded = decode_auto_salvage(&pcap_back, &keylog_back, &mut log).expect("valid capture");
+    // Nothing in a fresh capture is damaged: every record, frame and flow
+    // was accounted as processed.
+    assert!(log.is_clean(), "undamaged capture: {:?}", log.drops());
 
     println!("\ndecoded {} flows:", decoded.flow_count);
     for ex in &decoded.exchanges {

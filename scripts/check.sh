@@ -30,6 +30,16 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo check --workspace --all-targets (benches and examples too)"
+# `cargo test` does not build bench targets, so without this step they can
+# stop compiling unnoticed.
+cargo check --workspace --all-targets
+
+echo "==> benchmark harness builds and passes its tests against this tree"
+# perfbench/harness is its own workspace with path dependencies on the
+# crates, so a library change that breaks it only shows up here.
+cargo test -q --manifest-path perfbench/harness/Cargo.toml --target-dir target/perfbench
+
 echo "==> chaos suite (fault grid + CLI exit codes, release profile)"
 # The CLI binary (and the tests that drive it) live in diffaudit-serve;
 # the fault-grid suite stays with the core crate's salvage machinery.
@@ -76,12 +86,12 @@ grep -q 'counters: .*, 0 changed' "$obs_tmp/threads_diff.txt" \
 echo "==> perf regression vs BENCH_pipeline.json (advisory: exit 2 warns, exit 1 fails)"
 ./target/release/pipeline_metrics --out "$obs_tmp/current.json"
 set +e
-# --noise-floor-us 150000: spans under 150ms are pure scheduler noise on the
+# --noise-floor-ms 150: spans under 150ms are pure scheduler noise on the
 # 1-CPU CI box (a single preemption is tens of ms, so a 10ms span can jitter
 # by several hundred percent and trip --fail-over 200 spuriously). Only spans
 # long enough to average the jitter out participate in the advisory gate.
 ./target/release/diffaudit obs diff BENCH_pipeline.json "$obs_tmp/current.json" \
-    --fail-over 200 --noise-floor-us 150000
+    --fail-over 200 --noise-floor-ms 150
 diff_status=$?
 set -e
 case "$diff_status" in
@@ -126,7 +136,7 @@ case "$cache_status" in
 esac
 set +e
 ./target/release/diffaudit obs diff BENCH_cache.json "$obs_tmp/current_cache.json" \
-    --fail-over 200 --noise-floor-us 150000
+    --fail-over 200 --noise-floor-ms 150
 cache_diff_status=$?
 set -e
 case "$cache_diff_status" in

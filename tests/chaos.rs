@@ -11,18 +11,19 @@
 //!    rate (fault selection is nested by construction, so the survivors at a
 //!    higher rate are a subset of the survivors at a lower rate).
 //!
-//! At rate 0 every operator must be the identity: the salvage decode output
-//! equals the strict decode and the ledger is clean.
+//! At rate 0 every operator must be the identity: the decode output equals
+//! the pristine decode (itself checked against the generator's ground truth
+//! in `tests/decode_paths.rs`) and the ledger is clean.
 
 use diffaudit::diff::ObservedGrid;
-use diffaudit::pipeline::{ClassificationMode, LoadedUnit, Pipeline, ServiceInput};
+use diffaudit::loader::{load_memory_service, MemoryArtifact, MemoryService};
+use diffaudit::pipeline::{ClassificationMode, Pipeline, ServiceInput};
 use diffaudit_nettrace::fault::{FaultOp, FaultSpec};
 use diffaudit_nettrace::pcapng::inject_secrets;
-use diffaudit_nettrace::{
-    decode_auto, decode_auto_salvage, decode_auto_salvage_ctl, har_to_exchanges_salvage, KeyLog,
-    SalvageLog,
-};
+use diffaudit_nettrace::{decode_auto_salvage, decode_auto_salvage_ctl, KeyLog, SalvageLog};
+use diffaudit_obs::Scope;
 use diffaudit_services::{generate_dataset, DatasetOptions, GeneratedDataset};
+use diffaudit_util::cancel::Ctl;
 
 const SEEDS: [u64; 2] = [3, 11];
 const RATES: [f64; 4] = [0.0, 0.05, 0.25, 0.6];
@@ -36,75 +37,32 @@ fn dataset() -> GeneratedDataset {
     })
 }
 
-/// Decode every artifact of the dataset's single service with `fault`
-/// applied (`None` = pristine), tallying all damage into one ledger.
+/// Load the dataset's single service through the in-memory loader with
+/// `fault` applied to every artifact (`None` = pristine), tallying all
+/// damage into one ledger.
 fn salvaged_input(
     dataset: &GeneratedDataset,
     fault: Option<FaultSpec>,
 ) -> (ServiceInput, SalvageLog) {
-    let capture = &dataset.services[0];
-    let mut log = SalvageLog::new();
-    let mut units = Vec::new();
-    for artifact in &capture.artifacts {
-        if let Some(har) = &artifact.har {
-            let text = match &fault {
-                Some(spec) => spec.apply_har(har),
-                None => har.clone(),
-            };
-            // Document-level damage loses the whole unit; that is still
-            // "degradation", just coarser.
-            if let Ok(exchanges) = har_to_exchanges_salvage(&text, &mut log) {
-                let n = exchanges.len();
-                units.push(LoadedUnit {
-                    platform: artifact.platform,
-                    kind: artifact.kind,
-                    category: artifact.category,
-                    exchanges,
-                    opaque_snis: Vec::new(),
-                    packet_count: n,
-                    flow_count: n,
-                });
-            }
-        } else if let Some(pcap) = &artifact.pcap {
-            let bytes = match &fault {
-                Some(spec) => spec.apply_pcap(pcap),
-                None => pcap.clone(),
-            };
-            let keylog = match &artifact.keylog {
-                Some(text) => {
-                    let text = match &fault {
-                        Some(spec) => spec.apply_keylog(text),
-                        None => text.clone(),
-                    };
-                    KeyLog::parse_salvage(&text, &mut log)
-                }
-                None => KeyLog::new(),
-            };
-            if let Ok(decoded) = decode_auto_salvage(&bytes, &keylog, &mut log) {
-                units.push(LoadedUnit {
-                    platform: artifact.platform,
-                    kind: artifact.kind,
-                    category: artifact.category,
-                    exchanges: decoded.exchanges,
-                    opaque_snis: decoded.opaque.into_iter().filter_map(|o| o.sni).collect(),
-                    packet_count: decoded.packet_count,
-                    flow_count: decoded.flow_count,
-                });
-            }
+    let mut svc = MemoryService::from_capture(&dataset.services[0]);
+    if let Some(spec) = fault {
+        for unit in &mut svc.units {
+            unit.artifact = damaged(&spec, &unit.artifact);
         }
     }
-    let input = ServiceInput {
-        name: capture.spec.name.to_string(),
-        slug: capture.spec.slug.to_string(),
-        first_party_domains: capture
-            .spec
-            .first_party_domains
-            .iter()
-            .map(|d| d.to_string())
-            .collect(),
-        units,
-    };
-    (input, log)
+    let (input, ledger) = load_memory_service(svc, 2, &Scope::job("chaos"), &Ctl::unbounded());
+    (input, ledger.merged())
+}
+
+/// `artifact` with `spec` applied to every part of it.
+fn damaged(spec: &FaultSpec, artifact: &MemoryArtifact<'_>) -> MemoryArtifact<'static> {
+    match artifact {
+        MemoryArtifact::Har(har) => MemoryArtifact::Har(spec.apply_har(har).into()),
+        MemoryArtifact::Capture { bytes, keylog } => MemoryArtifact::Capture {
+            bytes: spec.apply_pcap(bytes).into(),
+            keylog: keylog.as_ref().map(|k| spec.apply_keylog(k).into()),
+        },
+    }
 }
 
 /// The audit signal recovered from a (possibly damaged) input: total
@@ -112,7 +70,8 @@ fn salvaged_input(
 fn recovered_signal(dataset: &GeneratedDataset, input: ServiceInput) -> (usize, usize) {
     let exchanges: usize = input.units.iter().map(|u| u.exchanges.len()).sum();
     let outcome = Pipeline::new(ClassificationMode::Oracle(dataset.key_truth.clone()))
-        .run_inputs(vec![input]);
+        .run_inputs_scoped(vec![input], &Scope::global(), &Ctl::unbounded())
+        .expect("an unbounded control never interrupts");
     let cells = match outcome.services.first() {
         Some(service) => ObservedGrid::build(service).cells().len(),
         None => 0,
@@ -267,7 +226,7 @@ fn a_stalled_decoder_is_cut_off_at_the_deadline_across_the_fault_grid() {
     // deadline — never panic or wedge — for every fault operator, and
     // the partial ledger accumulated up to the cut must still conserve.
     use diffaudit_nettrace::capture::DecodeError;
-    use diffaudit_util::cancel::{CancelToken, Ctl, Deadline, Interrupt};
+    use diffaudit_util::cancel::{CancelToken, Deadline, Interrupt};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -280,7 +239,7 @@ fn a_stalled_decoder_is_cut_off_at_the_deadline_across_the_fault_grid() {
         .expect("dataset has a pcap artifact");
     let pcap = artifact.pcap.as_ref().expect("pcap bytes");
     let keylog = match &artifact.keylog {
-        Some(text) => KeyLog::parse(text),
+        Some(text) => KeyLog::parse_salvage(text, &mut SalvageLog::new()),
         None => KeyLog::new(),
     };
     // Deadline shorter than one stalled checkpoint: the decoder gets the
@@ -340,8 +299,7 @@ fn a_stalled_load_surfaces_as_timeout_drops_even_on_damaged_units() {
     // not — must land in the degradation ledger with a `timeout:` reason
     // code (the interrupt wins over whatever decode damage the bytes
     // also carry), and the ledger must conserve the full unit count.
-    use diffaudit::loader::{load_memory_service, MemoryArtifact, MemoryService, MemoryUnit};
-    use diffaudit_util::cancel::{CancelToken, Ctl, Deadline};
+    use diffaudit_util::cancel::{CancelToken, Deadline};
     use std::time::Duration;
 
     let dataset = dataset();
@@ -351,41 +309,12 @@ fn a_stalled_load_surfaces_as_timeout_drops_even_on_damaged_units() {
         seed: 3,
         rate: 0.25,
     };
-    let units: Vec<MemoryUnit> = capture
-        .artifacts
-        .iter()
-        .enumerate()
-        .map(|(i, artifact)| {
-            let art = match (&artifact.har, &artifact.pcap) {
-                (Some(har), _) => MemoryArtifact::Har(spec.apply_har(har)),
-                (None, Some(pcap)) => MemoryArtifact::Capture {
-                    bytes: spec.apply_pcap(pcap),
-                    keylog: artifact.keylog.clone(),
-                },
-                (None, None) => unreachable!("artifact has neither HAR nor pcap"),
-            };
-            MemoryUnit {
-                label: format!("unit-{i}"),
-                platform: artifact.platform,
-                kind: artifact.kind,
-                category: artifact.category,
-                artifact: art,
-            }
-        })
-        .collect();
-    let total = units.len();
+    let mut svc = MemoryService::from_capture(capture);
+    for unit in &mut svc.units {
+        unit.artifact = damaged(&spec, &unit.artifact);
+    }
+    let total = svc.units.len();
     assert!(total > 0);
-    let svc = MemoryService {
-        name: capture.spec.name.to_string(),
-        slug: capture.spec.slug.to_string(),
-        first_party_domains: capture
-            .spec
-            .first_party_domains
-            .iter()
-            .map(|d| d.to_string())
-            .collect(),
-        units,
-    };
     let ctl = Ctl::new(
         CancelToken::new(),
         Deadline::within(Duration::ZERO), // already expired: a stall past its budget
@@ -425,14 +354,14 @@ fn pcapng_with_secrets_survives_the_fault_grid() {
         .find(|a| a.pcap.is_some() && a.keylog.is_some())
         .expect("dataset has a pcap+keylog artifact");
     let pcap = artifact.pcap.as_ref().unwrap();
-    let keylog = KeyLog::parse(artifact.keylog.as_ref().unwrap());
+    let keylog = KeyLog::parse_salvage(artifact.keylog.as_ref().unwrap(), &mut SalvageLog::new());
     let pcapng = inject_secrets(pcap, &keylog).expect("secrets injection");
 
     // Pristine pcapng decodes cleanly and matches the pcap+keylog decode.
     let mut clean_log = SalvageLog::new();
     let clean = decode_auto_salvage(&pcapng, &KeyLog::new(), &mut clean_log).unwrap();
-    let strict = decode_auto(pcap, &keylog).unwrap();
-    assert_eq!(clean.exchanges, strict.exchanges);
+    let legacy = decode_auto_salvage(pcap, &keylog, &mut SalvageLog::new()).unwrap();
+    assert_eq!(clean.exchanges, legacy.exchanges);
     assert!(clean_log.is_clean());
 
     for op in FaultOp::ALL {

@@ -3,8 +3,28 @@
 //! use, and the two capture paths (HAR vs pcap) must agree on content.
 
 use diffaudit::extract::extract_request;
-use diffaudit_nettrace::{decode_pcap, har_to_exchanges, KeyLog, PcapReader};
+use diffaudit_nettrace::{
+    decode_auto_salvage, har_to_exchanges_salvage, DecodedTrace, Exchange, KeyLog, PcapReader,
+    SalvageLog,
+};
 use diffaudit_services::{generate_dataset, DatasetOptions, Platform, TraceKind};
+
+/// Parse a generated HAR; nothing in it may be dropped.
+fn har_clean(text: &str) -> Vec<Exchange> {
+    let mut log = SalvageLog::new();
+    let exchanges = har_to_exchanges_salvage(text, &mut log).expect("valid HAR");
+    assert!(log.is_clean(), "{:?}", log.drops());
+    exchanges
+}
+
+/// Decode a generated pcap with its key log; nothing in it may be dropped.
+fn pcap_clean(pcap: &[u8], keylog_text: &str) -> DecodedTrace {
+    let mut log = SalvageLog::new();
+    let keylog = KeyLog::parse_salvage(keylog_text, &mut log);
+    let decoded = decode_auto_salvage(pcap, &keylog, &mut log).expect("valid pcap container");
+    assert!(log.is_clean(), "{:?}", log.drops());
+    decoded
+}
 
 fn dataset() -> diffaudit_services::GeneratedDataset {
     generate_dataset(&DatasetOptions {
@@ -21,7 +41,7 @@ fn har_artifacts_parse_and_count() {
     let ds = dataset();
     for artifact in &ds.services[0].artifacts {
         if let Some(har) = &artifact.har {
-            let exchanges = har_to_exchanges(har).expect("valid HAR");
+            let exchanges = har_clean(har);
             assert_eq!(exchanges.len(), artifact.exchange_count);
             for ex in &exchanges {
                 assert_eq!(ex.request.url.scheme, "https");
@@ -37,7 +57,9 @@ fn pcap_artifacts_are_valid_captures() {
     let ds = dataset();
     for artifact in &ds.services[0].artifacts {
         if let Some(pcap) = &artifact.pcap {
-            let reader = PcapReader::parse(pcap).expect("valid pcap container");
+            let mut log = SalvageLog::new();
+            let reader = PcapReader::parse_salvage(pcap, &mut log).expect("valid pcap container");
+            assert!(log.is_clean(), "{:?}", log.drops());
             assert!(!reader.packets.is_empty());
             for packet in &reader.packets {
                 diffaudit_nettrace::packet::TcpSegment::decode(&packet.data)
@@ -67,9 +89,11 @@ fn pcap_and_har_paths_agree_on_extracted_keys() {
         .find(|a| a.platform == Platform::Mobile && a.kind == TraceKind::LoggedOut)
         .expect("mobile logged-out unit");
 
-    let web_exchanges = har_to_exchanges(web.har.as_ref().unwrap()).unwrap();
-    let keylog = KeyLog::parse(mobile.keylog.as_ref().unwrap());
-    let decoded = decode_pcap(mobile.pcap.as_ref().unwrap(), &keylog).unwrap();
+    let web_exchanges = har_clean(web.har.as_ref().unwrap());
+    let decoded = pcap_clean(
+        mobile.pcap.as_ref().unwrap(),
+        mobile.keylog.as_ref().unwrap(),
+    );
     assert!(decoded.opaque.is_empty(), "pinning disabled");
     assert_eq!(decoded.exchanges.len(), mobile.exchange_count);
 
@@ -93,11 +117,8 @@ fn ground_truth_covers_extracted_keys() {
     let mut checked = 0usize;
     for artifact in &capture.artifacts {
         let exchanges = match (&artifact.har, &artifact.pcap) {
-            (Some(har), _) => har_to_exchanges(har).unwrap(),
-            (_, Some(pcap)) => {
-                let keylog = KeyLog::parse(artifact.keylog.as_deref().unwrap());
-                decode_pcap(pcap, &keylog).unwrap().exchanges
-            }
+            (Some(har), _) => har_clean(har),
+            (_, Some(pcap)) => pcap_clean(pcap, artifact.keylog.as_deref().unwrap()).exchanges,
             _ => unreachable!("artifact must carry HAR or pcap"),
         };
         for ex in exchanges {
