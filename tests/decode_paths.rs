@@ -1,13 +1,12 @@
 //! Ground-truth check of the decode path: one decoder per format, one unit
 //! loader, one pipeline body, each checked against what the simulator
 //! generated (3 seeds × all 6 services) rather than against a second
-//! implementation. Every HAR decodes to `exchange_count` exchanges; every
-//! pcap and its editcap pcapng twin to `exchange_count` flows, each
+//! implementation. Every HAR unit holds `exchange_count` exchanges; every
+//! pcap and its editcap pcapng twin hold `exchange_count` flows, each
 //! decrypted (one key-log secret each) or opaque; the disk and in-memory
 //! loaders agree; `Pipeline::run` equals `write_dataset` + disk loader +
 //! `run_inputs_scoped`; and every salvage ledger is clean and conserved.
-//! Before the strict decoders were deleted this suite also compared them
-//! with the salvage ones; the divergences are recorded in DESIGN §4.
+//! DESIGN §4 records how the deleted strict decoders differed.
 
 use diffaudit::export::outcome_to_json;
 use diffaudit::loader::{
@@ -15,9 +14,7 @@ use diffaudit::loader::{
 };
 use diffaudit::pipeline::{ClassificationMode, Pipeline};
 use diffaudit_nettrace::pcapng::inject_secrets;
-use diffaudit_nettrace::{
-    decode_auto_salvage, har_to_exchanges_salvage, DecodedTrace, KeyLog, SalvageLog,
-};
+use diffaudit_nettrace::{decode_auto_salvage, KeyLog, SalvageLog};
 use diffaudit_obs::Scope;
 use diffaudit_services::{generate_dataset, DatasetOptions, GeneratedDataset};
 use diffaudit_util::cancel::Ctl;
@@ -36,64 +33,18 @@ fn assert_clean(log: &SalvageLog, what: &str) {
     assert!(log.conserved(), "{what}: ledger does not conserve");
 }
 
-fn decode(bytes: &[u8], keylog: &KeyLog, what: &str) -> DecodedTrace {
-    let mut log = SalvageLog::new();
-    let trace = decode_auto_salvage(bytes, keylog, &mut log).unwrap();
-    assert_clean(&log, what);
-    trace
-}
-
-/// Every artifact of the corpus decodes to the generator's ground truth.
-fn artifacts_match_ground_truth(dataset: &GeneratedDataset, seed: u64) {
+/// Load every service of the corpus from disk and from memory, check both
+/// against the generator's ground truth, and check that `Pipeline::run`
+/// equals the disk path end to end.
+fn check_seed(seed: u64) {
+    let dataset = dataset(seed);
     assert_eq!(dataset.services.len(), 6);
-    for capture in &dataset.services {
-        for (i, artifact) in capture.artifacts.iter().enumerate() {
-            let what = format!("seed {seed} {} unit {i}", capture.spec.slug);
-            if let Some(har) = &artifact.har {
-                let mut log = SalvageLog::new();
-                let exchanges = har_to_exchanges_salvage(har, &mut log).unwrap();
-                assert_clean(&log, &what);
-                assert_eq!(exchanges.len(), artifact.exchange_count, "{what}: HAR");
-            }
-            let Some(pcap) = &artifact.pcap else { continue };
-            let mut log = SalvageLog::new();
-            let keys = KeyLog::parse_salvage(artifact.keylog.as_deref().unwrap_or(""), &mut log);
-            assert_clean(&log, &what);
-
-            let trace = decode(pcap, &keys, &what);
-            // One TCP flow per generated exchange, each decrypted (one
-            // request per flow, one logged secret each) or opaque with its
-            // SNI (a pinned host whose secret was never logged).
-            assert_eq!(trace.flow_count, artifact.exchange_count, "{what}: flows");
-            assert_eq!(trace.exchanges.len(), keys.len(), "{what}: decrypted");
-            assert_eq!(
-                trace.exchanges.len() + trace.opaque.len(),
-                trace.flow_count,
-                "{what}: every flow decoded or opaque"
-            );
-            assert!(trace.opaque.iter().all(|o| o.sni.is_some()), "{what}");
-
-            // editcap's self-contained pcapng decodes to the same trace.
-            let pcapng = inject_secrets(pcap, &keys).expect("editcap on a clean pcap");
-            let embedded = decode(&pcapng, &KeyLog::new(), &format!("{what} pcapng"));
-            assert_eq!(
-                format!("{embedded:?}"),
-                format!("{trace:?}"),
-                "{what}: pcapng"
-            );
-        }
-    }
-}
-
-/// The disk and in-memory loaders agree with each other and the ground
-/// truth, and `Pipeline::run` equals the disk path end to end.
-fn loaders_and_pipeline_agree(dataset: &GeneratedDataset, seed: u64) {
     let root = std::env::temp_dir().join(format!(
         "diffaudit-decode-paths-{seed}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&root);
-    let dirs = write_dataset(dataset, &root).unwrap();
+    let dirs = write_dataset(&dataset, &root).unwrap();
     let mut inputs = Vec::new();
     for (dir, capture) in dirs.iter().zip(&dataset.services) {
         let what = format!("seed {seed} {}", capture.spec.slug);
@@ -115,9 +66,34 @@ fn loaders_and_pipeline_agree(dataset: &GeneratedDataset, seed: u64) {
             format!("{from_memory:?}"),
             "{what}"
         );
-        let flows: Vec<usize> = from_disk.units.iter().map(|u| u.flow_count).collect();
-        let truth: Vec<usize> = capture.artifacts.iter().map(|a| a.exchange_count).collect();
-        assert_eq!(flows, truth, "{what}: flows");
+        assert_eq!(from_disk.units.len(), capture.artifacts.len(), "{what}");
+        for (unit, artifact) in from_disk.units.iter().zip(&capture.artifacts) {
+            // One flow (a HAR entry, or a TCP flow) per generated exchange.
+            assert_eq!(unit.flow_count, artifact.exchange_count, "{what}: flows");
+            let Some(pcap) = &artifact.pcap else { continue };
+            // Each flow is decrypted (one request per flow, one logged
+            // secret each) or opaque with its SNI (a pinned host whose
+            // secret was never logged).
+            let mut log = SalvageLog::new();
+            let keys = KeyLog::parse_salvage(artifact.keylog.as_deref().unwrap_or(""), &mut log);
+            assert_clean(&log, &what);
+            assert_eq!(unit.exchanges.len(), keys.len(), "{what}: decrypted");
+            assert_eq!(
+                unit.exchanges.len() + unit.opaque_snis.len(),
+                unit.flow_count,
+                "{what}: every flow decrypted or opaque with its SNI"
+            );
+            // editcap's self-contained pcapng decodes to the same trace.
+            let pcapng = inject_secrets(pcap, &keys).expect("editcap on a clean pcap");
+            let mut log = SalvageLog::new();
+            let embedded = decode_auto_salvage(&pcapng, &KeyLog::new(), &mut log).unwrap();
+            assert_clean(&log, &what);
+            assert_eq!(embedded.exchanges, unit.exchanges, "{what}: pcapng");
+            let snis: Vec<String> = embedded.opaque.into_iter().filter_map(|o| o.sni).collect();
+            assert_eq!(snis, unit.opaque_snis, "{what}: pcapng");
+            assert_eq!(embedded.packet_count, unit.packet_count, "{what}: pcapng");
+            assert_eq!(embedded.flow_count, unit.flow_count, "{what}: pcapng");
+        }
         inputs.push(from_disk);
     }
     let _ = std::fs::remove_dir_all(&root);
@@ -126,7 +102,7 @@ fn loaders_and_pipeline_agree(dataset: &GeneratedDataset, seed: u64) {
     let from_disk = pipeline
         .run_inputs_scoped(inputs, &Scope::global(), &Ctl::unbounded())
         .unwrap();
-    let in_memory = pipeline.run(dataset);
+    let in_memory = pipeline.run(&dataset);
     assert_eq!(in_memory.unique_raw_keys, from_disk.unique_raw_keys);
     assert_eq!(in_memory.key_labels, from_disk.key_labels);
     assert_eq!(
@@ -139,12 +115,6 @@ fn loaders_and_pipeline_agree(dataset: &GeneratedDataset, seed: u64) {
         outcome_to_json(&from_disk, &[]).to_pretty_string(),
         "seed {seed}: Pipeline::run and the disk path disagree"
     );
-}
-
-fn check_seed(seed: u64) {
-    let dataset = dataset(seed);
-    artifacts_match_ground_truth(&dataset, seed);
-    loaders_and_pipeline_agree(&dataset, seed);
 }
 
 #[test]
