@@ -382,6 +382,7 @@ pub fn load_capture_dir_salvage_threads(
     threads: usize,
 ) -> Result<(ServiceInput, ServiceLedger), LoadError> {
     let scope = Scope::global();
+    let ctl = Ctl::unbounded();
     scope.time("loader.dir", || {
         let manifest = read_manifest(dir)?;
         // Units are independent, so they load in parallel over the scoped
@@ -400,7 +401,7 @@ pub fn load_capture_dir_salvage_threads(
                     manifest: &manifest.path,
                     entry,
                 };
-                load_unit(source, i, recorder, &Ctl::unbounded())
+                load_unit(source, i, recorder, &ctl)
             },
             |recorder| scope.absorb(recorder),
         );
