@@ -32,7 +32,9 @@
 //!    identifiers and personal information (Figures 3–5).
 //!
 //! [`report`] renders the paper's tables; [`stats`] computes the dataset
-//! summary (Table 1).
+//! summary (Table 1). [`run`] is the audit after loading — salvage
+//! counters, policy, pipeline, findings, text report — that the CLI and
+//! the serve daemon both call.
 
 pub mod audit;
 pub mod dest;
@@ -44,6 +46,7 @@ pub mod linkability;
 pub mod loader;
 pub mod pipeline;
 pub mod report;
+pub mod run;
 pub mod salvage;
 pub mod stats;
 
@@ -55,5 +58,6 @@ pub use flow::{DataFlow, FlowTable4};
 pub use pipeline::{
     AuditOutcome, ClassificationMode, ObservedExchange, ObservedService, ObservedUnit, Pipeline,
 };
+pub use run::{run_audit, AuditRun, AuditSettings, AuditStop};
 pub use salvage::{DegradationLedger, RunStatus, SalvagePolicy, ServiceLedger, UnitLedger};
 pub use stats::{DatasetSummary, ServiceSummary};

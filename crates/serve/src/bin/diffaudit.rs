@@ -91,18 +91,16 @@
 //! output. The exit-code contract above is likewise unchanged.
 //! ```
 
-use diffaudit::audit::{audit_service, AuditFinding};
-use diffaudit::diff::ObservedGrid;
+use diffaudit::audit::AuditFinding;
 use diffaudit::export;
 use diffaudit::loader::{load_capture_dir_salvage_threads, write_dataset};
-use diffaudit::pipeline::{ClassificationMode, Pipeline};
 use diffaudit::report;
-use diffaudit::salvage::{cache_ledger, DegradationLedger, RunStatus, SalvagePolicy};
+use diffaudit::run::{run_audit, AuditSettings, AuditStop};
+use diffaudit::salvage::{DegradationLedger, RunStatus, SalvagePolicy};
 use diffaudit_json::Json;
-use diffaudit_nettrace::salvage::Stage;
 use diffaudit_obs as obs;
 use diffaudit_serve::{ServeConfig, Server};
-use diffaudit_services::{generate_dataset_threads, service_by_slug, DatasetOptions};
+use diffaudit_services::{generate_dataset_threads, DatasetOptions};
 use diffaudit_util::cancel::Ctl;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -421,8 +419,8 @@ fn cmd_generate(args: &[String], threads: usize) -> ExitCode {
 
 fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
     let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut seed = 2023u64;
-    let mut threshold = 0.8f64;
+    let mut seed: Option<i128> = None;
+    let mut threshold: Option<f64> = None;
     let mut format = "text".to_string();
     let mut out_file: Option<PathBuf> = None;
     let mut cache_dir: Option<PathBuf> = None;
@@ -431,11 +429,11 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--ensemble" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
+                Some(v) => seed = Some(v),
                 None => return usage(),
             },
             "--threshold" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => threshold = v,
+                Some(v) => threshold = Some(v),
                 None => return usage(),
             },
             "--format" => match iter.next() {
@@ -444,7 +442,12 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
                 }
                 _ => return usage(),
             },
-            "--out" => out_file = iter.next().map(PathBuf::from),
+            // A missing value, or another flag in its place, is a usage
+            // error rather than a file name.
+            "--out" => match iter.next().filter(|v| !v.starts_with('-')) {
+                Some(v) => out_file = Some(PathBuf::from(v)),
+                None => return usage(),
+            },
             "--cache-dir" => match iter.next() {
                 Some(v) => cache_dir = Some(PathBuf::from(v)),
                 None => return usage(),
@@ -460,6 +463,13 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
             _ => return usage(),
         }
     }
+    let settings = match AuditSettings::new(seed, threshold, policy, threads, cache_dir) {
+        Ok(settings) => settings,
+        Err(e) => {
+            obs::error(&e, &[]);
+            return usage();
+        }
+    };
     if dirs.is_empty() {
         return usage();
     }
@@ -492,112 +502,32 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
     }
     load_span.finish();
 
-    // Mirror the degradation ledger into the metrics registry so the
-    // `--metrics-out` document is conservation-checkable against the
-    // ledger: for every stage,
-    //   counters["salvage.<stage>.processed"] == ledger processed
-    //   counters["salvage.<stage>.dropped"]   == ledger dropped.
-    for (stage, counts) in ledger.merged().stages() {
-        let label = stage.label();
-        // lint:allow(metric-discipline): `salvage.<stage>.*` is a closed
-        // family — `stage` ranges over the ledger's fixed stage enum.
-        obs::add(
-            &format!("{}{label}.processed", obs::SALVAGE_PREFIX),
-            counts.processed,
-        );
-        // lint:allow(metric-discipline): closed family, same as above.
-        obs::add(
-            &format!("{}{label}.dropped", obs::SALVAGE_PREFIX),
-            counts.dropped,
-        );
-    }
-
-    let status = policy.evaluate(&ledger);
-    if status == RunStatus::Failed {
-        obs::error(
-            "degradation exceeds policy",
-            &[
-                obs::field("dropped", ledger.total_dropped()),
-                obs::field("dropPct", ledger.drop_fraction() * 100.0),
-                obs::field("strict", policy.strict),
-            ],
-        );
-        obs::write_stderr_block(&report::render_degradation(&ledger));
-        return ExitCode::FAILURE;
-    }
-
-    let mut pipeline =
-        Pipeline::new(ClassificationMode::Ensemble { seed, threshold }).with_threads(threads);
-    if let Some(dir) = &cache_dir {
-        pipeline = pipeline.with_cache_dir(dir.clone());
-    }
-    let outcome = match pipeline.run_inputs_scoped(inputs, &obs::Scope::global(), &Ctl::unbounded())
-    {
-        Ok(outcome) => outcome,
-        Err(interrupt) => {
+    let scope = obs::Scope::global();
+    let run = match run_audit(inputs, ledger, &settings, &scope, &Ctl::unbounded()) {
+        Ok(run) if run.status != RunStatus::Failed => run,
+        // Cache damage alone pushed the ledger past the policy.
+        Ok(run) => return policy_failure(&settings.policy, &run.ledger),
+        Err(AuditStop::Policy(ledger)) => return policy_failure(&settings.policy, &ledger),
+        Err(
+            AuditStop::LoadInterrupted(interrupt, _) | AuditStop::PipelineInterrupted(interrupt, _),
+        ) => {
             obs::error(&interrupt.to_string(), &[]);
             return ExitCode::FAILURE;
         }
     };
 
-    // Cache salvage (damaged log records skipped on open) degrades the run
-    // the same way damaged input does: account it in the ledger, mirror the
-    // counters, and let the policy re-judge the status.
-    let status = match outcome.cache.as_ref() {
-        Some(cache_report) if !cache_report.damage.is_empty() => {
-            let cache_service = cache_ledger(cache_report);
-            let counts = cache_service.merged().stage(Stage::Cache);
-            obs::add("salvage.cache.processed", counts.processed);
-            obs::add("salvage.cache.dropped", counts.dropped);
-            ledger.services.push(cache_service);
-            let status = policy.evaluate(&ledger);
-            if status == RunStatus::Failed {
-                obs::error(
-                    "degradation exceeds policy",
-                    &[
-                        obs::field("dropped", ledger.total_dropped()),
-                        obs::field("dropPct", ledger.drop_fraction() * 100.0),
-                        obs::field("strict", policy.strict),
-                    ],
-                );
-                obs::write_stderr_block(&report::render_degradation(&ledger));
-                return ExitCode::FAILURE;
-            }
-            status
-        }
-        _ => status,
-    };
-
-    // Findings need a policy; catalog services get their real one, unknown
-    // services get the flow/linkability analyses without policy rules.
-    let findings_span = obs::span("audit.findings");
-    let mut findings: Vec<AuditFinding> = Vec::new();
-    for service in &outcome.services {
-        if let Some(spec) = service_by_slug(&service.slug) {
-            findings.extend(audit_service(service, &spec));
-        } else {
-            obs::warn(
-                "service not in catalog; policy-consistency rules skipped",
-                &[obs::field("service", service.name.as_str())],
-            );
-        }
-    }
-    findings_span.finish();
-    obs::add("audit.findings", findings.len() as u64);
-
-    // The degradation section appears only on salvaged runs, so a clean
-    // run's output is byte-identical to the pre-salvage tool's.
     let render_span = obs::span("audit.render");
     let rendered = match format.as_str() {
-        "json" => {
-            export::outcome_to_json_with_ledger(&outcome, &findings, &ledger).to_pretty_string()
-        }
+        "json" => export::outcome_to_json_with_ledger(&run.outcome, &run.findings, &run.ledger)
+            .to_pretty_string(),
         "markdown" => {
-            let mut doc = outcome
+            let mut doc = run
+                .outcome
                 .services
                 .iter()
                 .map(|s| {
-                    let service_findings: Vec<AuditFinding> = findings
+                    let service_findings: Vec<AuditFinding> = run
+                        .findings
                         .iter()
                         .filter(|f| f.service == s.name)
                         .cloned()
@@ -606,30 +536,14 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
                 })
                 .collect::<Vec<_>>()
                 .join("\n---\n\n");
-            if status != RunStatus::Clean {
+            if run.status != RunStatus::Clean {
                 doc.push_str("\n## Degradation\n\n```\n");
-                doc.push_str(&report::render_degradation(&ledger));
+                doc.push_str(&report::render_degradation(&run.ledger));
                 doc.push_str("```\n");
             }
             doc
         }
-        _ => {
-            let mut text = String::new();
-            for service in &outcome.services {
-                let grid = ObservedGrid::build(service);
-                text.push_str(&report::render_table4(service, &grid));
-                text.push('\n');
-            }
-            text.push_str(&report::render_fig3(&outcome));
-            text.push('\n');
-            text.push_str("Findings:\n");
-            text.push_str(&report::render_findings(&findings));
-            if status != RunStatus::Clean {
-                text.push('\n');
-                text.push_str(&report::render_degradation(&ledger));
-            }
-            text
-        }
+        _ => run.render_text(),
     };
     render_span.finish();
     audit_span.finish();
@@ -652,16 +566,30 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
         }
         None => print!("{rendered}"),
     }
-    if status != RunStatus::Clean {
+    if run.status != RunStatus::Clean {
         obs::warn(
             "salvaged run; exit code 2",
             &[
-                obs::field("dropped", ledger.total_dropped()),
-                obs::field("dropPct", ledger.drop_fraction() * 100.0),
+                obs::field("dropped", run.ledger.total_dropped()),
+                obs::field("dropPct", run.ledger.drop_fraction() * 100.0),
             ],
         );
     }
-    ExitCode::from(status.exit_code())
+    ExitCode::from(run.status.exit_code())
+}
+
+/// Degradation beyond the policy: the ledger goes to stderr, exit 1.
+fn policy_failure(policy: &SalvagePolicy, ledger: &DegradationLedger) -> ExitCode {
+    obs::error(
+        "degradation exceeds policy",
+        &[
+            obs::field("dropped", ledger.total_dropped()),
+            obs::field("dropPct", ledger.drop_fraction() * 100.0),
+            obs::field("strict", policy.strict),
+        ],
+    );
+    obs::write_stderr_block(&report::render_degradation(ledger));
+    ExitCode::FAILURE
 }
 
 fn cmd_classify(args: &[String], threads: usize) -> ExitCode {

@@ -1,5 +1,7 @@
 //! Per-job execution: one audit under a deadline, a cancel token, and a
-//! private observability scope.
+//! private observability scope. After the in-memory load the job runs the
+//! same post-load audit as the CLI ([`run_audit`]) and maps how it ended
+//! onto a job phase.
 //!
 //! Timeout policy (DESIGN.md §9): the loader and the pipeline treat
 //! interruption differently, on purpose.
@@ -18,18 +20,15 @@
 //! panicking job cannot leave half-written global state.
 
 use crate::job::{JobCompletion, JobPhase};
-use diffaudit::audit::{audit_service, AuditFinding};
-use diffaudit::diff::ObservedGrid;
 use diffaudit::export;
 use diffaudit::loader::{load_memory_service, MemoryService};
-use diffaudit::pipeline::{AuditOutcome, ClassificationMode, Pipeline};
+use diffaudit::pipeline::AuditOutcome;
 use diffaudit::report;
-use diffaudit::salvage::{cache_ledger, DegradationLedger, RunStatus, SalvagePolicy};
+use diffaudit::run::{run_audit, AuditSettings, AuditStop};
+use diffaudit::salvage::{DegradationLedger, RunStatus};
 use diffaudit_json::Json;
-use diffaudit_nettrace::salvage::Stage;
 use diffaudit_obs::{MetricsSnapshot, Scope};
 use diffaudit_util::cancel::{CancelToken, Ctl, Deadline, Interrupt};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,19 +48,12 @@ pub enum ChaosMode {
 pub struct JobRequest<'a> {
     /// The uploaded service (traces already resolved to memory units).
     pub service: MemoryService<'a>,
-    /// Degradation tolerance.
-    pub policy: SalvagePolicy,
-    /// Ensemble seed (the CLI's `--ensemble`).
-    pub seed: u64,
-    /// Ensemble vote threshold (the CLI's `--threshold`).
-    pub threshold: f64,
+    /// The audit options, as the CLI's flags would set them.
+    pub settings: AuditSettings,
     /// Wall-clock budget for the whole job.
     pub deadline: Duration,
     /// Optional fault injection.
     pub chaos: Option<ChaosMode>,
-    /// Persistent classification cache directory (shared across jobs;
-    /// `None` = uncached).
-    pub cache_dir: Option<std::path::PathBuf>,
 }
 
 /// A finished job: the table entry plus the private metrics snapshot the
@@ -93,38 +85,21 @@ fn chaos_panic() -> ! {
     panic!("chaos: injected job panic")
 }
 
-fn empty_outcome() -> AuditOutcome {
-    AuditOutcome {
-        services: Vec::new(),
-        key_labels: HashMap::new(),
-        unique_raw_keys: 0,
-        cache: None,
-    }
-}
-
-/// The batch CLI's default text report, rebuilt from the same renderers so
-/// daemon reports and CLI stdout stay in lockstep.
-fn render_text_report(
-    outcome: &AuditOutcome,
-    findings: &[AuditFinding],
-    ledger: &DegradationLedger,
+/// A job that ends on its ledger alone: an empty outcome's document plus
+/// the ledger, and the degradation table as its report.
+fn degraded_completion(
     status: RunStatus,
-) -> String {
-    let mut text = String::new();
-    for service in &outcome.services {
-        let grid = ObservedGrid::build(service);
-        text.push_str(&report::render_table4(service, &grid));
-        text.push('\n');
+    ledger: &DegradationLedger,
+    error: String,
+) -> JobCompletion {
+    JobCompletion {
+        phase: JobPhase::Done(status),
+        result_json: export::outcome_to_json_with_ledger(&AuditOutcome::default(), &[], ledger)
+            .to_pretty_string(),
+        report: Some(report::render_degradation(ledger)),
+        metrics_json: None,
+        error: Some(error),
     }
-    text.push_str(&report::render_fig3(outcome));
-    text.push('\n');
-    text.push_str("Findings:\n");
-    text.push_str(&report::render_findings(findings));
-    if status != RunStatus::Clean {
-        text.push('\n');
-        text.push_str(&report::render_degradation(ledger));
-    }
-    text
 }
 
 fn interrupted_completion(interrupt: Interrupt, ledger: &DegradationLedger) -> JobCompletion {
@@ -145,9 +120,63 @@ fn interrupted_completion(interrupt: Interrupt, ledger: &DegradationLedger) -> J
     }
 }
 
-/// Close the job scope, attach the rendered snapshot, and package the
-/// output.
-fn finish(scope: Scope, mut completion: JobCompletion) -> JobOutput {
+/// Execute one job to a terminal phase. Never blocks past the deadline as
+/// long as decode/pipeline loops keep hitting their cancellation
+/// checkpoints; never touches the global obs registry.
+///
+/// The caller is expected to wrap this in `catch_unwind` — a panic
+/// anywhere in here (including re-raised pipeline worker panics) is the
+/// job's failure, not the daemon's.
+pub fn run_job(request: JobRequest<'_>, token: CancelToken) -> JobOutput {
+    let ctl = build_ctl(&token, request.deadline, request.chaos);
+    let scope = Scope::job("serve.job");
+    if request.chaos == Some(ChaosMode::Panic) {
+        chaos_panic();
+    }
+    let settings = &request.settings;
+
+    let (input, service_ledger) = scope.time("serve.job.load", || {
+        load_memory_service(request.service, settings.threads, &scope, &ctl)
+    });
+    let mut ledger = DegradationLedger::new();
+    ledger.services.push(service_ledger);
+    let mut completion = match run_audit(vec![input], ledger, settings, &scope, &ctl) {
+        Ok(run) => {
+            let (result_json, report) = scope.time("audit.render", || {
+                let doc =
+                    export::outcome_to_json_with_ledger(&run.outcome, &run.findings, &run.ledger);
+                (doc.to_pretty_string(), run.render_text())
+            });
+            JobCompletion {
+                phase: JobPhase::Done(run.status),
+                result_json,
+                report: Some(report),
+                metrics_json: None,
+                error: None,
+            }
+        }
+        Err(AuditStop::Policy(ledger)) => degraded_completion(
+            RunStatus::Failed,
+            &ledger,
+            format!(
+                "degradation exceeds policy: {} records dropped",
+                ledger.total_dropped()
+            ),
+        ),
+        // The deadline (or a cancel) tripped during load. Interrupted units
+        // are already ledger drops the policy tolerated, so the job reports
+        // the salvage verdict with the degradation document; a clean ledger
+        // means the trip landed after a complete load, where no partial
+        // audit exists to report.
+        Err(AuditStop::LoadInterrupted(interrupt, ledger)) if ledger.total_dropped() > 0 => {
+            degraded_completion(RunStatus::Salvaged, &ledger, interrupt.to_string())
+        }
+        Err(
+            AuditStop::LoadInterrupted(interrupt, ledger)
+            | AuditStop::PipelineInterrupted(interrupt, ledger),
+        ) => interrupted_completion(interrupt, &ledger),
+    };
+    // Close the job scope and attach the rendered snapshot.
     let metrics = scope.finish();
     if let Some(snapshot) = &metrics {
         completion.metrics_json = Some(snapshot.to_json().to_pretty_string());
@@ -158,135 +187,10 @@ fn finish(scope: Scope, mut completion: JobCompletion) -> JobOutput {
     }
 }
 
-/// Execute one job to a terminal phase. Never blocks past the deadline as
-/// long as decode/pipeline loops keep hitting their cancellation
-/// checkpoints; never touches the global obs registry.
-///
-/// The caller is expected to wrap this in `catch_unwind` — a panic
-/// anywhere in here (including re-raised pipeline worker panics) is the
-/// job's failure, not the daemon's.
-pub fn run_job(request: JobRequest<'_>, token: CancelToken, threads: usize) -> JobOutput {
-    let ctl = build_ctl(&token, request.deadline, request.chaos);
-    let scope = Scope::job("serve.job");
-    if request.chaos == Some(ChaosMode::Panic) {
-        chaos_panic();
-    }
-
-    let (input, service_ledger) = scope.time("serve.job.load", || {
-        load_memory_service(request.service, threads, &scope, &ctl)
-    });
-    let mut ledger = DegradationLedger::new();
-    ledger.services.push(service_ledger);
-    // Mirror the ledger into the job's metrics, same counters as the CLI.
-    for (stage, counts) in ledger.merged().stages() {
-        let label = stage.label();
-        // lint:allow(metric-discipline): `salvage.<stage>.*` is a closed
-        // family — `stage` ranges over the ledger's fixed stage enum.
-        scope.add(
-            &format!("{}{label}.processed", diffaudit_obs::SALVAGE_PREFIX),
-            counts.processed,
-        );
-        // lint:allow(metric-discipline): closed family, same as above.
-        scope.add(
-            &format!("{}{label}.dropped", diffaudit_obs::SALVAGE_PREFIX),
-            counts.dropped,
-        );
-    }
-
-    let status = request.policy.evaluate(&ledger);
-    if status == RunStatus::Failed {
-        let doc =
-            export::outcome_to_json_with_ledger(&empty_outcome(), &[], &ledger).to_pretty_string();
-        return finish(
-            scope,
-            JobCompletion {
-                phase: JobPhase::Done(RunStatus::Failed),
-                result_json: doc,
-                report: Some(report::render_degradation(&ledger)),
-                metrics_json: None,
-                error: Some(format!(
-                    "degradation exceeds policy: {} records dropped",
-                    ledger.total_dropped()
-                )),
-            },
-        );
-    }
-
-    if let Some(interrupt) = ctl.interrupted() {
-        // The deadline (or a cancel) tripped during load. Interrupted
-        // units are already accounted as ledger drops, so if anything was
-        // dropped the job reports the salvage verdict with the degradation
-        // document; a clean ledger means the trip landed after a complete
-        // load, where no partial audit exists to report.
-        if ledger.total_dropped() > 0 {
-            let doc = export::outcome_to_json_with_ledger(&empty_outcome(), &[], &ledger)
-                .to_pretty_string();
-            return finish(
-                scope,
-                JobCompletion {
-                    phase: JobPhase::Done(status),
-                    result_json: doc,
-                    report: Some(report::render_degradation(&ledger)),
-                    metrics_json: None,
-                    error: Some(interrupt.to_string()),
-                },
-            );
-        }
-        return finish(scope, interrupted_completion(interrupt, &ledger));
-    }
-
-    let mut pipeline = Pipeline::new(ClassificationMode::Ensemble {
-        seed: request.seed,
-        threshold: request.threshold,
-    })
-    .with_threads(threads);
-    if let Some(dir) = &request.cache_dir {
-        pipeline = pipeline.with_cache_dir(dir.clone());
-    }
-    match pipeline.run_inputs_scoped(vec![input], &scope, &ctl) {
-        Err(interrupt) => finish(scope, interrupted_completion(interrupt, &ledger)),
-        Ok(outcome) => {
-            // Cache salvage (skipped or truncated log records) degrades the
-            // run the same way damaged input does: account it in the ledger
-            // and let the policy re-judge the status.
-            let status = match outcome.cache.as_ref() {
-                Some(report) if !report.damage.is_empty() => {
-                    let cache_service = cache_ledger(report);
-                    let counts = cache_service.merged().stage(Stage::Cache);
-                    scope.add("salvage.cache.processed", counts.processed);
-                    scope.add("salvage.cache.dropped", counts.dropped);
-                    ledger.services.push(cache_service);
-                    request.policy.evaluate(&ledger)
-                }
-                _ => status,
-            };
-            let mut findings: Vec<AuditFinding> = Vec::new();
-            for service in &outcome.services {
-                if let Some(spec) = diffaudit_services::service_by_slug(&service.slug) {
-                    findings.extend(audit_service(service, &spec));
-                }
-            }
-            scope.add("audit.findings", findings.len() as u64);
-            let doc = export::outcome_to_json_with_ledger(&outcome, &findings, &ledger)
-                .to_pretty_string();
-            let report_text = render_text_report(&outcome, &findings, &ledger, status);
-            finish(
-                scope,
-                JobCompletion {
-                    phase: JobPhase::Done(status),
-                    result_json: doc,
-                    report: Some(report_text),
-                    metrics_json: None,
-                    error: None,
-                },
-            )
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffaudit::salvage::SalvagePolicy;
     use diffaudit_services::{generate_dataset, DatasetOptions, GeneratedDataset};
 
     fn small_dataset() -> GeneratedDataset {
@@ -302,19 +206,17 @@ mod tests {
     fn request(dataset: &GeneratedDataset) -> JobRequest<'_> {
         JobRequest {
             service: MemoryService::from_capture(&dataset.services[0]),
-            policy: SalvagePolicy::default(),
-            seed: 2023,
-            threshold: 0.8,
+            settings: AuditSettings::new(None, None, SalvagePolicy::default(), 2, None)
+                .expect("default settings"),
             deadline: Duration::from_secs(60),
             chaos: None,
-            cache_dir: None,
         }
     }
 
     #[test]
     fn clean_job_reports_clean_with_private_metrics() {
         let dataset = small_dataset();
-        let output = run_job(request(&dataset), CancelToken::new(), 2);
+        let output = run_job(request(&dataset), CancelToken::new());
         assert_eq!(output.completion.phase, JobPhase::Done(RunStatus::Clean));
         assert_eq!(output.completion.phase.exit_style(), Some(0));
         assert!(output.completion.result_json.contains("services"));
@@ -329,7 +231,7 @@ mod tests {
         let dataset = small_dataset();
         let mut req = request(&dataset);
         req.deadline = Duration::ZERO;
-        let output = run_job(req, CancelToken::new(), 2);
+        let output = run_job(req, CancelToken::new());
         // Every unit dropped at load → policy says salvaged.
         assert_eq!(
             output.completion.phase,
@@ -350,7 +252,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let dataset = small_dataset();
-        let output = run_job(request(&dataset), token, 1);
+        let output = run_job(request(&dataset), token);
         // Dropped-at-load units carry cancelled reasons → salvage verdict.
         assert_eq!(output.completion.phase, JobPhase::Done(RunStatus::Salvaged));
         assert!(output
@@ -365,8 +267,8 @@ mod tests {
         let dataset = small_dataset();
         let mut req = request(&dataset);
         req.deadline = Duration::ZERO;
-        req.policy.strict = true;
-        let output = run_job(req, CancelToken::new(), 1);
+        req.settings.policy.strict = true;
+        let output = run_job(req, CancelToken::new());
         assert_eq!(output.completion.phase, JobPhase::Done(RunStatus::Failed));
         assert_eq!(output.completion.phase.http_status(), 422);
     }

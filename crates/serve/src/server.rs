@@ -54,6 +54,7 @@ use crate::runner::{self, ChaosMode, JobRequest};
 use diffaudit::loader::{
     parse_category, parse_kind, parse_platform, MemoryArtifact, MemoryService, MemoryUnit,
 };
+use diffaudit::run::AuditSettings;
 use diffaudit::salvage::SalvagePolicy;
 use diffaudit_json::{parse, Json};
 use diffaudit_obs as obs;
@@ -216,7 +217,6 @@ fn worker_loop(shared: &Arc<Shared>) {
         let Some(token) = shared.jobs.begin(&id) else {
             continue;
         };
-        let threads = shared.config.threads_per_job.max(1);
         // The busy gauge brackets the catch_unwind region from outside:
         // instrumentation must stay out of the unwind-contained job body
         // (the par-discipline pass enforces this), and decrementing before
@@ -224,7 +224,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // worker is already accounted free.
         obs::gauge_add(names::WORKERS_BUSY, 1);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            runner::run_job(request, token, threads)
+            runner::run_job(request, token)
         }));
         obs::gauge_sub(names::WORKERS_BUSY, 1);
         match outcome {
@@ -547,6 +547,16 @@ fn submit_job(shared: &Arc<Shared>, request: &Request) -> Response {
         return Response::error(400, "a job needs at least one trace");
     }
 
+    let seed = match doc.get("ensemble").map(Json::as_i64) {
+        None => None,
+        Some(Some(seed)) => Some(i128::from(seed)),
+        Some(None) => return Response::error(400, "ensemble must be an integer seed"),
+    };
+    let threshold = match doc.get("threshold").map(Json::as_f64) {
+        None => None,
+        Some(Some(threshold)) => Some(threshold),
+        Some(None) => return Response::error(400, "threshold must be a number"),
+    };
     let mut policy = SalvagePolicy::default();
     if doc.get("strict").and_then(Json::as_bool) == Some(true) {
         policy.strict = true;
@@ -557,12 +567,12 @@ fn submit_job(shared: &Arc<Shared>, request: &Request) -> Response {
         }
         policy.max_drop_fraction = Some(pct / 100.0);
     }
-    let seed = doc
-        .get("ensemble")
-        .and_then(Json::as_i64)
-        .map(|v| v as u64)
-        .unwrap_or(2023);
-    let threshold = doc.get("threshold").and_then(Json::as_f64).unwrap_or(0.8);
+    let threads = shared.config.threads_per_job.max(1);
+    let cache_dir = shared.config.cache_dir.clone();
+    let settings = match AuditSettings::new(seed, threshold, policy, threads, cache_dir) {
+        Ok(settings) => settings,
+        Err(e) => return Response::error(400, &e),
+    };
     let deadline_ms = doc
         .get("deadlineMs")
         .and_then(Json::as_i64)
@@ -588,12 +598,9 @@ fn submit_job(shared: &Arc<Shared>, request: &Request) -> Response {
             first_party_domains,
             units,
         },
-        policy,
-        seed,
-        threshold,
+        settings,
         deadline: Duration::from_millis(deadline_ms),
         chaos,
-        cache_dir: shared.config.cache_dir.clone(),
     };
     let id = format!("j-{}", shared.next_job.fetch_add(1, Ordering::SeqCst) + 1);
     shared.jobs.insert(JobRecord {

@@ -35,6 +35,12 @@ echo "==> cargo check --workspace --all-targets (benches and examples too)"
 # stop compiling unnoticed.
 cargo check --workspace --all-targets
 
+echo "==> cargo clippy --workspace --all-targets"
+# nettrace, json and domains deny clippy::unwrap_used/expect_used/panic in
+# the code that decodes untrusted bytes; only clippy enforces those denies.
+# Other clippy findings are warnings and do not fail the gate.
+cargo clippy --workspace --all-targets
+
 echo "==> benchmark harness builds and passes its tests against this tree"
 # perfbench/harness is its own workspace with path dependencies on the
 # crates, so a library change that breaks it only shows up here.

@@ -129,6 +129,29 @@ fn unusable_input_and_bad_usage_exit_one() {
     // And an out-of-range --max-drop.
     let (code, _) = run_audit(&["somedir", "--max-drop", "150"]);
     assert_eq!(code, Some(1));
+    // The rest run on a real capture directory, so only the flag itself
+    // can fail them.
+    let dir = capture_dir(&root);
+    let dir = dir.to_str().unwrap();
+    // A missing --out value is a usage error: not a run to stdout, and not
+    // a report written to a file named after the next flag.
+    let (code, stdout) = run_audit(&[dir, "--out"]);
+    assert_eq!(code, Some(1));
+    assert!(stdout.is_empty(), "a usage error must not print a report");
+    let (code, _) = run_audit(&["--out", "--strict", dir]);
+    assert_eq!(code, Some(1));
+    // Ensemble inputs out of range: a threshold outside [0, 1] (or NaN)
+    // would leave every key unlabeled; a negative seed is not a seed.
+    for bad in [
+        ["--threshold", "7"],
+        ["--threshold", "-0.1"],
+        ["--threshold", "NaN"],
+        ["--ensemble", "-1"],
+    ] {
+        let (code, stdout) = run_audit(&[dir, bad[0], bad[1]]);
+        assert_eq!(code, Some(1), "{bad:?} must be a usage error");
+        assert!(stdout.is_empty(), "{bad:?} must not print a report");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

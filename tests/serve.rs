@@ -272,14 +272,18 @@ fn result_document_is_byte_identical_to_the_batch_cli() {
     });
     let dirs: Vec<PathBuf> =
         diffaudit::loader::write_dataset(&dataset, &root).expect("write dataset");
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_diffaudit"))
-        .arg("audit")
-        .arg(&dirs[0])
-        .args(["--format", "json", "--log-level", "error"])
-        .output()
-        .expect("run batch CLI");
-    assert_eq!(output.status.code(), Some(0));
-    let cli_doc = String::from_utf8(output.stdout).expect("CLI output UTF-8");
+    let cli_stdout = |format: &str| {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_diffaudit"))
+            .arg("audit")
+            .arg(&dirs[0])
+            .args(["--format", format, "--log-level", "error"])
+            .output()
+            .expect("run batch CLI");
+        assert_eq!(output.status.code(), Some(0));
+        String::from_utf8(output.stdout).expect("CLI output UTF-8")
+    };
+    let cli_doc = cli_stdout("json");
+    let cli_text = cli_stdout("text");
 
     // Daemon side: upload the same artifacts and run a default job.
     let (addr, handle) = boot(ServeConfig::default());
@@ -289,12 +293,23 @@ fn result_document_is_byte_identical_to_the_batch_cli() {
     assert_eq!(view.get("state").and_then(Json::as_str), Some("clean"));
     let (status, body) = fetch_result(&addr, &job);
     assert_eq!(status, 200);
+    let (status, report) =
+        client::request_text(&addr, "GET", &format!("/api/v1/jobs/{job}/report"), &[])
+            .expect("report");
+    assert_eq!(status, 200);
     let exit = shutdown_and_join(&addr, handle);
     assert_eq!(exit.orphaned, 0);
 
     assert_eq!(
         body, cli_doc,
         "daemon result and batch CLI JSON must be byte-identical"
+    );
+    let (report_text, _) = report
+        .split_once("\nJob metrics:")
+        .expect("the report ends with the job metrics");
+    assert_eq!(
+        report_text, cli_text,
+        "daemon text report and batch CLI text output must be byte-identical"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -609,6 +624,25 @@ fn malformed_requests_get_4xx_and_never_kill_the_daemon() {
     )
     .expect("req");
     assert_eq!(status, 400, "{text}");
+    // Ensemble inputs are range-checked like the CLI's flags: a threshold
+    // outside [0, 1] would leave every key unlabeled, and a negative seed
+    // must not wrap into a huge one.
+    for bad in [
+        ("threshold", Json::float(7.0)),
+        ("threshold", Json::float(-0.5)),
+        ("threshold", Json::str("high")),
+        ("ensemble", Json::int(-1)),
+        ("ensemble", Json::float(1.5)),
+    ] {
+        let (status, text) = client::request_text(
+            &addr,
+            "POST",
+            "/api/v1/jobs",
+            job_body(&capture, &ids, std::slice::from_ref(&bad)).as_bytes(),
+        )
+        .expect("req");
+        assert_eq!(status, 400, "{bad:?}: {text}");
+    }
 
     // After all of that, the daemon still works end to end.
     let (status, text) = client::request_text(&addr, "GET", "/healthz", &[]).expect("health");
