@@ -27,8 +27,8 @@ pub struct BenchArgs {
     /// Master seed.
     pub seed: u64,
     /// Worker threads for the parallel pipeline stages. Passed explicitly
-    /// to every stage ([`standard_dataset`], [`oracle_outcome`],
-    /// [`ensemble_outcome`]) — there is no process-global default.
+    /// to every stage ([`standard_dataset`], [`oracle_outcome`]) — there is
+    /// no process-global default.
     pub threads: usize,
 }
 
@@ -129,13 +129,6 @@ pub fn standard_dataset(args: &BenchArgs) -> GeneratedDataset {
 /// the flow tables/figures, where the paper relied on its validated labels.
 pub fn oracle_outcome(args: &BenchArgs, dataset: &GeneratedDataset) -> AuditOutcome {
     Pipeline::new(ClassificationMode::Oracle(dataset.key_truth.clone()))
-        .with_threads(args.threads)
-        .run(dataset)
-}
-
-/// Run the pipeline in the paper's ensemble configuration.
-pub fn ensemble_outcome(args: &BenchArgs, dataset: &GeneratedDataset, seed: u64) -> AuditOutcome {
-    Pipeline::paper_default(seed)
         .with_threads(args.threads)
         .run(dataset)
 }

@@ -22,6 +22,7 @@
 //! [`estimate_quantile`]: crate::metrics::estimate_quantile
 
 use crate::metrics::estimate_quantile;
+use crate::report::histogram_formatter;
 use diffaudit_json::Json;
 use diffaudit_util::fmt::{format_bytes, format_bytes_signed, format_duration_us};
 use std::collections::BTreeMap;
@@ -570,10 +571,6 @@ fn format_rel(rel: f64, tolerance: f64) -> String {
     }
 }
 
-fn format_quantile(q: Option<f64>) -> String {
-    q.map_or_else(|| "-".to_string(), |v| format_duration_us(v.round() as u64))
-}
-
 /// Render the diff as a text report.
 pub fn render_diff(diff: &MetricsDiff, options: &DiffOptions) -> String {
     let tolerance = options.display_tolerance;
@@ -681,15 +678,18 @@ pub fn render_diff(diff: &MetricsDiff, options: &DiffOptions) -> String {
                 ));
                 continue;
             }
+            let fmt_value = histogram_formatter(&h.name);
+            let quantile =
+                |q: Option<f64>| q.map_or_else(|| "-".to_string(), |v| fmt_value(v.round() as u64));
             out.push_str(&format!(
                 "  {}: {} -> {} / {} -> {} / {} -> {}\n",
                 h.name,
-                format_quantile(h.base_p[0]),
-                format_quantile(h.current_p[0]),
-                format_quantile(h.base_p[1]),
-                format_quantile(h.current_p[1]),
-                format_quantile(h.base_p[2]),
-                format_quantile(h.current_p[2]),
+                quantile(h.base_p[0]),
+                quantile(h.current_p[0]),
+                quantile(h.base_p[1]),
+                quantile(h.current_p[1]),
+                quantile(h.base_p[2]),
+                quantile(h.current_p[2]),
             ));
         }
     }
@@ -711,7 +711,7 @@ pub fn render_diff(diff: &MetricsDiff, options: &DiffOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Metrics, MetricsSnapshot, LATENCY_US_BOUNDS};
+    use crate::metrics::{Metrics, MetricsSnapshot, BYTE_BOUNDS, LATENCY_US_BOUNDS, RECORD_BOUNDS};
 
     fn sample_snapshot(scale: u64) -> String {
         let mut m = Metrics::new();
@@ -942,6 +942,44 @@ mod tests {
             &DiffOptions::default(),
         );
         assert_eq!(diff.verdict, Verdict::Ok);
+    }
+
+    #[test]
+    fn histogram_shifts_render_in_the_histogram_unit() {
+        let mut m = Metrics::new();
+        for _ in 0..10 {
+            m.observe("capture.bytes", &BYTE_BOUNDS, 3_000_000);
+            m.observe("unit.exchanges", &RECORD_BOUNDS, 81);
+        }
+        let doc = MetricsSnapshot {
+            metrics: m,
+            uptime_us: 1_000,
+        }
+        .to_json()
+        .to_pretty_string();
+        let snap = parse_snapshot(&doc).unwrap();
+        let options = DiffOptions::default();
+        let text = render_diff(&diff_snapshots(&snap, &snap, &options), &options);
+        let shift = |name: &str| {
+            let prefix = format!("  {name}: ");
+            text.lines()
+                .find_map(|l| l.strip_prefix(prefix.as_str()))
+                .unwrap_or_else(|| panic!("no shift line for {name} in:\n{text}"))
+                .to_string()
+        };
+        let bytes = shift("capture.bytes");
+        assert!(
+            bytes.contains("MiB"),
+            "byte quantiles in binary units: {bytes}"
+        );
+        let counts = shift("unit.exchanges");
+        assert!(
+            counts
+                .split(" / ")
+                .flat_map(|pair| pair.split(" -> "))
+                .all(|v| v.parse::<u64>().is_ok()),
+            "count quantiles as plain numbers: {counts}"
+        );
     }
 
     #[test]

@@ -67,13 +67,7 @@ pub fn render_run_report(snapshot: &MetricsSnapshot) -> String {
     if !histograms.is_empty() {
         out.push_str("\ndistributions:\n");
         for (name, h) in &histograms {
-            let fmt_value: fn(u64) -> String = if name.ends_with(".bytes") {
-                format_bytes
-            } else if name.ends_with(".us") {
-                format_duration_us
-            } else {
-                |v| v.to_string()
-            };
+            let fmt_value = histogram_formatter(name);
             let quantile = |q: f64| {
                 h.quantile(q)
                     .map_or_else(|| "-".to_string(), |v| fmt_value(v.round() as u64))
@@ -91,6 +85,19 @@ pub fn render_run_report(snapshot: &MetricsSnapshot) -> String {
         }
     }
     out
+}
+
+/// The unit a histogram's values are rendered in, chosen by its name:
+/// `*.bytes` as binary byte sizes, `*.us` as durations, anything else
+/// (record counts) as a plain number.
+pub(crate) fn histogram_formatter(name: &str) -> fn(u64) -> String {
+    if name.ends_with(".bytes") {
+        format_bytes
+    } else if name.ends_with(".us") {
+        format_duration_us
+    } else {
+        |v| v.to_string()
+    }
 }
 
 /// Fold `salvage.<stage>.processed` / `.dropped` counters into a per-stage

@@ -435,13 +435,10 @@ pub fn render_trace_report(tree: &SpanTree, options: &TraceReportOptions) -> Str
     // remainder (the root's own self-time).
     for root in &tree.roots {
         let descendant_self = root.subtree_self_us() - root.self_us;
-        let untracked = root.total_us.saturating_sub(descendant_self);
         out.push_str(&format!(
-            "root {}: total {} = stage self {} + untracked {}\n",
+            "root {}: total {}\n",
             root.name,
-            format_duration_us(root.total_us),
-            format_duration_us(descendant_self),
-            format_duration_us(untracked),
+            conservation(root.total_us, descendant_self)
         ));
     }
 
@@ -471,6 +468,27 @@ pub fn render_trace_report(tree: &SpanTree, options: &TraceReportOptions) -> Str
         ));
     }
     out
+}
+
+/// The right-hand side of a time conservation line. Nested stages fit
+/// inside their root (`T = stage self D + untracked T-D`); stages that ran
+/// concurrently can sum past it, and then the line says so instead of
+/// claiming an equality (`T < stage self D (D-T overlapping)`).
+fn conservation(total_us: u64, descendant_us: u64) -> String {
+    match total_us.checked_sub(descendant_us) {
+        Some(untracked) => format!(
+            "{} = stage self {} + untracked {}",
+            format_duration_us(total_us),
+            format_duration_us(descendant_us),
+            format_duration_us(untracked),
+        ),
+        None => format!(
+            "{} < stage self {} ({} overlapping)",
+            format_duration_us(total_us),
+            format_duration_us(descendant_us),
+            format_duration_us(descendant_us - total_us),
+        ),
+    }
 }
 
 fn format_throughput(bytes_in: u64, dur_us: u64) -> String {
@@ -525,11 +543,9 @@ pub fn render_resource_report(tree: &SpanTree, _options: &TraceReportOptions) ->
         }
         let descendant_cpu = root.subtree_self_cpu_us() - root.self_cpu_us();
         out.push_str(&format!(
-            "root {}: cpu {} = stage self {} + untracked {}\n",
+            "root {}: cpu {}\n",
             root.name,
-            format_duration_us(root.cpu_us),
-            format_duration_us(descendant_cpu),
-            format_duration_us(root.cpu_us.saturating_sub(descendant_cpu)),
+            conservation(root.cpu_us, descendant_cpu)
         ));
         let descendant_rss = root.subtree_self_rss_delta_bytes() - root.self_rss_delta_bytes();
         out.push_str(&format!(
@@ -854,6 +870,40 @@ mod tests {
             text.contains("root audit: rss +1.2KiB = stage +900B + untracked +300B"),
             "rss conservation line missing in:\n{text}"
         );
+    }
+
+    #[test]
+    fn overlapping_children_are_reported_as_overlap_not_equality() {
+        // audit(1000) ran two 700us workers side by side: 1400us of stage
+        // self time inside a 1000us root, with 700us of CPU each.
+        let span = |cpu| SpanResources {
+            peak_rss_bytes: 4_000,
+            rss_delta_bytes: 0,
+            cpu_us: cpu,
+            bytes_in: 0,
+        };
+        let mut text = String::new();
+        for record in [
+            res_line(1, 710, "worker", Some("audit"), 700, span(700)),
+            res_line(2, 720, "worker", Some("audit"), 700, span(700)),
+            res_line(3, 1010, "audit", None, 1000, span(1_100)),
+        ] {
+            text.push_str(&record);
+            text.push('\n');
+        }
+        let tree = SpanTree::build(&TraceLog::parse(&text));
+        let report = render_trace_report(&tree, &TraceReportOptions::default());
+        assert!(
+            report.contains("root audit: total 1.0ms < stage self 1.4ms (400us overlapping)"),
+            "wall overlap line missing in:\n{report}"
+        );
+        let resources = render_resource_report(&tree, &TraceReportOptions::default());
+        assert!(
+            resources.contains("root audit: cpu 1.1ms < stage self 1.4ms (300us overlapping)"),
+            "cpu overlap line missing in:\n{resources}"
+        );
+        assert!(!report.contains(" = stage self"), "{report}");
+        assert!(!resources.contains("cpu 1.1ms = "), "{resources}");
     }
 
     #[test]

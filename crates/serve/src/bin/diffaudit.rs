@@ -349,7 +349,13 @@ fn cmd_generate(args: &[String], threads: usize) -> ExitCode {
     while let Some(flag) = iter.next() {
         match flag.as_str() {
             "--out" => out = iter.next().map(PathBuf::from),
-            "--scale" => match iter.next().and_then(|v| v.parse().ok()) {
+            // A non-finite scale overflows the generator's allocations and
+            // a non-positive one silently yields the floor-sized corpus.
+            "--scale" => match iter
+                .next()
+                .and_then(|v| v.parse::<f64>().ok())
+                .filter(|v| v.is_finite() && *v > 0.0)
+            {
                 Some(v) => options.volume_scale = v,
                 None => return usage(),
             },

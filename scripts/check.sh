@@ -80,74 +80,47 @@ grep -q '"kind":"span","name":"analyzer.analyze"' "$an_tmp/analyzer_trace.jsonl"
 grep -q 'analyzer.analyze' "$an_tmp/analyzer_trace_report.txt" \
     || { echo "obs report missing analyzer.analyze span"; exit 1; }
 
-echo "==> parallel consistency (--threads 1 vs --threads 4: counters must match)"
-./target/release/pipeline_metrics --scale 0.05 --threads 1 --out "$obs_tmp/serial.json"
-./target/release/pipeline_metrics --scale 0.05 --threads 4 --out "$obs_tmp/parallel.json"
-./target/release/diffaudit obs diff "$obs_tmp/serial.json" "$obs_tmp/parallel.json" \
-    | tee "$obs_tmp/threads_diff.txt"
-# Wall-time deltas above are advisory; counter deltas are a correctness bug.
-grep -q 'counters: .*, 0 changed' "$obs_tmp/threads_diff.txt" \
-    || { echo "counters diverge between --threads 1 and --threads 4"; exit 1; }
-
-echo "==> perf regression vs BENCH_pipeline.json (advisory: exit 2 warns, exit 1 fails)"
-./target/release/pipeline_metrics --out "$obs_tmp/current.json"
+echo "==> audit perf + peak RSS vs BENCH_pipeline.json (advisory: exit 2 warns, exit 1 fails)"
+# The gate times the path users run: `diffaudit audit` over a generated
+# paper-scale corpus on disk (~470MB), at --threads 1 like the baseline.
+./target/release/diffaudit generate --out "$obs_tmp/corpus" --scale 1.0 --seed 2023 \
+    --log-level warn > /dev/null
+corpus=("$obs_tmp"/corpus/*/)
+./target/release/diffaudit audit "${corpus[@]}" --threads 1 --log-level warn \
+    --res-sample-ms 10 --metrics-out "$obs_tmp/current.json" > /dev/null
 set +e
-# --noise-floor-ms 150: spans under 150ms are pure scheduler noise on the
-# 1-CPU CI box (a single preemption is tens of ms, so a 10ms span can jitter
-# by several hundred percent and trip --fail-over 200 spuriously). Only spans
-# long enough to average the jitter out participate in the advisory gate.
+# --noise-floor-ms 150: spans under 150ms are pure scheduler noise on a
+# 1-CPU box (a single preemption is tens of ms, so a 10ms span can jitter
+# by several hundred percent and trip --fail-over 200 spuriously). Peak RSS
+# is far more stable than wall time; growth past 50% (and past the built-in
+# 4MiB floor) is a real regression. Without /proc the current snapshot has
+# no resources section and the RSS half is informational.
 ./target/release/diffaudit obs diff BENCH_pipeline.json "$obs_tmp/current.json" \
-    --fail-over 200 --noise-floor-ms 150
+    --fail-over 200 --noise-floor-ms 150 --fail-rss-over 50
 diff_status=$?
 set -e
 case "$diff_status" in
     0) ;;
-    2) echo "WARNING: pipeline metrics regressed >200% vs BENCH_pipeline.json (advisory only)" ;;
+    2) echo "WARNING: audit wall time or peak RSS regressed vs BENCH_pipeline.json (advisory only)" ;;
     *) echo "obs diff failed (exit $diff_status)"; exit 1 ;;
 esac
 
-echo "==> max-RSS regression vs BENCH_mem.json (advisory: exit 2 warns, exit 1 fails)"
-./target/release/pipeline_mem --out "$obs_tmp/current_mem.json"
+echo "==> warm cached audit vs BENCH_cache.json (advisory: exit 2 warns, exit 1 fails)"
+# Cold run fills the classification cache, warm run is served from it.
+# The cache contract itself (cold inserts every miss, warm hits every key,
+# stdout identical) is asserted by tests/cache_cli.rs.
+for run in cold warm; do
+    ./target/release/diffaudit audit "${corpus[@]}" --threads 1 --log-level warn \
+        --cache-dir "$obs_tmp/clscache" --metrics-out "$obs_tmp/cache_$run.json" > /dev/null
+done
 set +e
-# Peak RSS is far more stable than wall time, but allocator and kernel
-# page-cache behaviour still move it a little between boxes; growth past
-# 50% (and past the built-in 4MiB floor) is a real regression signal. On
-# a box without /proc the current snapshot simply has no resources
-# section and the gate is informational (exit 0).
-./target/release/diffaudit obs diff BENCH_mem.json "$obs_tmp/current_mem.json" \
-    --fail-rss-over 50
-mem_diff_status=$?
-set -e
-case "$mem_diff_status" in
-    0) ;;
-    2) echo "WARNING: peak RSS regressed >50% vs BENCH_mem.json (advisory only)" ;;
-    *) echo "obs diff --fail-rss-over failed (exit $mem_diff_status)"; exit 1 ;;
-esac
-
-echo "==> classification cache warm run vs BENCH_cache.json (advisory: exit 2 warns, exit 1 fails)"
-# pipeline_cached hard-asserts the cache contract (cold run inserts every
-# unique key, warm run is fully cache-served with zero ensemble work) and
-# exits 1 when it breaks — that part is a correctness gate. The warm-run
-# wall budget and the diff against the committed baseline are advisory,
-# like every other wall-time gate on the 1-CPU runner.
-set +e
-./target/release/pipeline_cached --scale 0.5 --cache-dir "$obs_tmp/clscache" \
-    --warm-budget-ms 2000 --out "$obs_tmp/current_cache.json"
-cache_status=$?
-set -e
-case "$cache_status" in
-    0) ;;
-    2) echo "WARNING: warm cached run exceeded its 2s wall budget (advisory only)" ;;
-    *) echo "classification cache contract violated (exit $cache_status)"; exit 1 ;;
-esac
-set +e
-./target/release/diffaudit obs diff BENCH_cache.json "$obs_tmp/current_cache.json" \
+./target/release/diffaudit obs diff BENCH_cache.json "$obs_tmp/cache_warm.json" \
     --fail-over 200 --noise-floor-ms 150
 cache_diff_status=$?
 set -e
 case "$cache_diff_status" in
     0) ;;
-    2) echo "WARNING: cached pipeline regressed >200% vs BENCH_cache.json (advisory only)" ;;
+    2) echo "WARNING: warm cached audit regressed >200% vs BENCH_cache.json (advisory only)" ;;
     *) echo "obs diff failed (exit $cache_diff_status)"; exit 1 ;;
 esac
 

@@ -152,6 +152,22 @@ fn unusable_input_and_bad_usage_exit_one() {
         assert_eq!(code, Some(1), "{bad:?} must be a usage error");
         assert!(stdout.is_empty(), "{bad:?} must not print a report");
     }
+    // A generate scale that is not a finite positive number is a usage
+    // error, not a panic or a silently floor-sized corpus.
+    for bad in ["inf", "-1", "0", "NaN"] {
+        let out = root.join(format!("gen-{bad}"));
+        let output = bin()
+            .args(["generate", "--services", "tiktok", "--scale", bad, "--out"])
+            .arg(&out)
+            .output()
+            .unwrap();
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "--scale {bad} must be a usage error"
+        );
+        assert!(!out.exists(), "--scale {bad} must not write a corpus");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

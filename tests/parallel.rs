@@ -18,14 +18,18 @@
 
 use diffaudit::audit::audit_service;
 use diffaudit::export::outcome_to_json;
-use diffaudit::loader::{load_capture_dir_salvage_threads, write_dataset};
+use diffaudit::loader::{
+    load_capture_dir_salvage_threads, load_memory_service, write_dataset, MemoryService,
+};
 use diffaudit::pipeline::{ClassificationMode, Pipeline};
 use diffaudit::{AuditFinding, DegradationLedger};
 use diffaudit_json::{parse, Json};
 use diffaudit_nettrace::fault::{FaultOp, FaultSpec};
+use diffaudit_obs::{Metrics, Scope};
 use diffaudit_services::{
     generate_dataset, generate_dataset_threads, service_by_slug, DatasetOptions, GeneratedDataset,
 };
+use diffaudit_util::cancel::Ctl;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -215,6 +219,59 @@ fn metrics_counters_are_thread_count_invariant() {
         }
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The daemon's path: each job loads uploaded bytes with the in-memory
+/// loader and runs the pipeline under a private job scope. Its counters
+/// must not depend on the thread count, and the per-unit span must fire
+/// once per unit.
+#[test]
+fn job_scope_counters_are_thread_count_invariant() {
+    let dataset = generate_dataset(&DatasetOptions {
+        seed: 1_207,
+        volume_scale: 0.01,
+        mobile_pinned_fraction: 0.12,
+        services: Vec::new(),
+    });
+    let ctl = Ctl::unbounded();
+    for capture in &dataset.services {
+        let job = |threads: usize| {
+            let scope = Scope::job("job");
+            let (input, _) =
+                load_memory_service(MemoryService::from_capture(capture), threads, &scope, &ctl);
+            Pipeline::paper_default(1_207)
+                .with_threads(threads)
+                .run_inputs_scoped(vec![input], &scope, &ctl)
+                .expect("an unbounded control never interrupts");
+            scope
+                .finish()
+                .expect("a job scope yields a snapshot")
+                .metrics
+        };
+        let serial = job(1);
+        let parallel = job(PARALLEL);
+        let counters = |m: &Metrics| -> Vec<(String, u64)> {
+            m.counters().map(|(n, v)| (n.to_string(), v)).collect()
+        };
+        assert_eq!(
+            counters(&serial),
+            counters(&parallel),
+            "{}: job counters must be identical across thread counts",
+            capture.spec.slug
+        );
+        for metrics in [&serial, &parallel] {
+            let unit_spans = metrics
+                .spans()
+                .find(|(name, _)| *name == "loader.unit")
+                .map_or(0, |(_, stats)| stats.count);
+            assert_eq!(
+                unit_spans,
+                capture.artifacts.len() as u64,
+                "{}: loader.unit must fire once per unit",
+                capture.spec.slug
+            );
+        }
+    }
 }
 
 #[test]
